@@ -1,17 +1,18 @@
-// Differential determinism battery for the sharded fleet engine.
+// Determinism battery for the fleet engine.
 //
-// The sharded engine (core/fleet_shard.cpp) claims byte-identical replay of
-// the single-heap reference engine for ANY shard count. These tests pin that
-// claim, not just shard-to-shard consistency:
-//   1. Differential battery — shard counts {1, 2, 4, 8} each reproduce the
-//      reference engine's JSONL trace (byte-for-byte), its trace
-//      fingerprint, and its CampaignReport fingerprint, on a plain
-//      campaign, a tie-heavy campaign, and a gated chaos campaign with a
-//      multi-edge topology, regional outages, and clock drift.
-//   2. Reruns — the sharded engine is stable against itself across runs.
+// The engine steps device sessions either inline on the coordinator
+// (shards = 0) or run ahead on shard worker threads (shards >= 1), and
+// claims the same campaign for ANY shard count. These tests pin that claim
+// against recorded goldens (fleet_golden.hpp), not just run-to-run:
+//   1. Battery — the inline run and shard counts {1, 2, 4, 8} each match the
+//      campaign's golden report fingerprint, trace fingerprint and event
+//      count, and reproduce the inline run's JSONL trace byte-for-byte, on a
+//      plain campaign, a tie-heavy campaign, and a gated chaos campaign with
+//      a multi-edge topology, regional outages, and clock drift.
+//   2. Reruns — a sharded run is stable against itself across runs.
 //   3. Merge ordering — same-instant ties resolve in fleet order, shard
 //      counts exceeding the fleet size (empty shards) change nothing, and
-//      outage-window edges land identically across engines. The shard
+//      outage-window edges land identically at every shard count. The shard
 //      pool's per-shard FIFO guarantee gets its own unit test.
 //   4. Chaos regressions — per-region fault domains and clock drift are
 //      pure in (seed, region, device, t) and replay deterministically;
@@ -23,6 +24,7 @@
 #include <atomic>
 #include <algorithm>
 #include <memory>
+#include <source_location>
 #include <string>
 #include <vector>
 
@@ -32,11 +34,14 @@
 #include "sim/chaos.hpp"
 #include "sim/shard.hpp"
 #include "sim/trace.hpp"
+#include "fleet_golden.hpp"
 #include "test_env.hpp"
 
 namespace upkit::core {
 namespace {
 
+using testenv::expect_golden;
+using testenv::FleetGolden;
 using testenv::kAppId;
 using testenv::TestEnv;
 
@@ -44,14 +49,13 @@ using testenv::TestEnv;
 
 struct RunResult {
     std::string trace;
-    std::uint64_t trace_fp = 0;
-    std::uint64_t trace_events = 0;
+    sim::FingerprintSink fp;
     CampaignReport report;
 };
 
 struct CampaignSpec {
     std::size_t devices = 8;
-    unsigned shards = 0;       // 0 = reference engine
+    unsigned shards = 0;       // 0 = inline stepping on the coordinator
     unsigned edges = 0;
     bool gated = false;
     bool chaos = false;
@@ -125,9 +129,8 @@ void run_campaign(const CampaignSpec& spec, RunResult& out) {
 
     sim::Tracer tracer;
     sim::JsonlSink jsonl(out.trace);
-    sim::FingerprintSink fp;
     tracer.add_sink(jsonl);
-    tracer.add_sink(fp);
+    tracer.add_sink(out.fp);
     campaign.set_tracer(&tracer);
 
     FleetPolicy policy;
@@ -142,19 +145,16 @@ void run_campaign(const CampaignSpec& spec, RunResult& out) {
         policy.breaker_pause_s = 15.0;
     }
     out.report = campaign.run(kAppId, policy);
-    out.trace_fp = fp.fingerprint();
-    out.trace_events = fp.events();
 }
 
-/// Full-fidelity comparison of a sharded run against the reference run:
-/// byte-identical trace, identical trace fingerprint, identical report
-/// fingerprint, plus direct spot checks so a fingerprint bug can't mask a
-/// real divergence.
+/// Full-fidelity comparison of two runs of one campaign: byte-identical
+/// trace, identical trace fingerprint, identical report fingerprint, plus
+/// direct spot checks so a fingerprint bug can't mask a real divergence.
 void expect_identical(const RunResult& ref, const RunResult& got) {
     EXPECT_FALSE(ref.trace.empty());
     EXPECT_EQ(ref.trace, got.trace);
-    EXPECT_EQ(ref.trace_fp, got.trace_fp);
-    EXPECT_EQ(ref.trace_events, got.trace_events);
+    EXPECT_EQ(ref.fp.fingerprint(), got.fp.fingerprint());
+    EXPECT_EQ(ref.fp.events(), got.fp.events());
     EXPECT_EQ(ref.report.fingerprint(), got.report.fingerprint());
     EXPECT_EQ(ref.report.succeeded, got.report.succeeded);
     EXPECT_EQ(ref.report.failed, got.report.failed);
@@ -184,17 +184,22 @@ void expect_identical(const RunResult& ref, const RunResult& got) {
     }
 }
 
-void run_battery(CampaignSpec spec) {
+/// Runs `spec` inline and at shard counts {1, 2, 4, 8}: each run must hit
+/// the golden, and each sharded run must replay the inline one exactly.
+void run_battery(CampaignSpec spec, const FleetGolden& golden,
+                 std::source_location where = std::source_location::current()) {
     spec.shards = 0;
-    RunResult reference;
-    run_campaign(spec, reference);
+    RunResult inline_run;
+    run_campaign(spec, inline_run);
+    expect_golden(inline_run.report, inline_run.fp, golden, where);
     for (unsigned shards : {1u, 2u, 4u, 8u}) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
         CampaignSpec s = spec;
         s.shards = shards;
         RunResult got;
         run_campaign(s, got);
-        expect_identical(reference, got);
+        expect_golden(got.report, got.fp, golden, where);
+        expect_identical(inline_run, got);
     }
 }
 
@@ -202,7 +207,7 @@ void run_battery(CampaignSpec spec) {
 
 TEST(ShardDifferentialTest, PlainCampaignMatchesReferenceAtEveryShardCount) {
     CampaignSpec spec;  // 8 devices, 2 waves, lossy links, single origin
-    run_battery(spec);
+    run_battery(spec, {0x4f557c06dc42b54ull, 0xcd10f35b1554f52cull, 146, 112});
 }
 
 TEST(ShardDifferentialTest, GatedChaosEdgeCampaignMatchesReference) {
@@ -211,7 +216,7 @@ TEST(ShardDifferentialTest, GatedChaosEdgeCampaignMatchesReference) {
     spec.gated = true;
     spec.chaos = true;   // outages, loss bursts, bricks, drift
     spec.edges = 3;      // regional queues + caches + fault domains
-    run_battery(spec);
+    run_battery(spec, {0x9e1420c46f5eece2ull, 0x9ebb1cadb263166bull, 235, 160});
 }
 
 TEST(ShardDifferentialTest, ShardedRerunsAreByteIdentical) {
@@ -224,6 +229,7 @@ TEST(ShardDifferentialTest, ShardedRerunsAreByteIdentical) {
     run_campaign(spec, a);
     run_campaign(spec, b);
     expect_identical(a, b);
+    expect_golden(a.report, a.fp, {0xb8c625b2813870b3ull, 0xe5ab14158e620158ull, 193, 140});
     EXPECT_GT(a.report.succeeded, 0u);  // not vacuously identical
 }
 
@@ -233,12 +239,12 @@ TEST(ShardMergeOrderingTest, SameInstantReleasesResolveInFleetOrder) {
     // Every device releases at t = 0 (one wave, no stagger): the campaign
     // is one long chain of same-timestamp ties that only the (time, seq)
     // merge discipline can order. All shard counts must agree with the
-    // reference — and the session starts must appear in fleet order.
+    // golden — and the session starts must appear in fleet order.
     CampaignSpec spec;
     spec.devices = 9;
     spec.wave_size = 0;       // one wave
     spec.wave_stagger_s = 0.0;
-    run_battery(spec);
+    run_battery(spec, {0x6b2835ae0620dd05ull, 0x8d2721c4f47b2225ull, 163, 126});
 
     spec.shards = 8;
     RunResult got;
@@ -269,18 +275,18 @@ TEST(ShardMergeOrderingTest, SameInstantReleasesResolveInFleetOrder) {
 TEST(ShardMergeOrderingTest, MoreShardsThanDevicesLeavesEmptyShardsHarmless) {
     CampaignSpec spec;
     spec.devices = 3;  // shards 4 and 8 leave idle workers
-    run_battery(spec);
+    run_battery(spec, {0x31c8507c1c58cd9bull, 0xf159a0a5234c5494ull, 55, 42});
 }
 
 TEST(ShardMergeOrderingTest, RegionOutageWindowEdgeIsIdenticalAcrossEngines) {
     // An outage window whose start coincides exactly with the wave release
     // instant (t = 0): the boundary comparison (start <= t < end) must land
-    // the same way in both engines, at every shard count.
+    // the same way inline and at every shard count.
     CampaignSpec spec;
     spec.devices = 8;
     spec.edges = 2;
     spec.pinned_region_outage = true;
-    run_battery(spec);
+    run_battery(spec, {0xf3d8f52bd78f0e00ull, 0x5cb69ca902e8412cull, 154, 112});
 }
 
 TEST(ShardPoolTest, TasksOnOneShardRunInFifoOrder) {
@@ -406,6 +412,7 @@ TEST(ChaosRegionTest, DriftAndRegionCampaignReplaysByteIdentically) {
     run_campaign(spec, a);
     run_campaign(spec, b);
     expect_identical(a, b);
+    expect_golden(a.report, a.fp, {0x55f26e78329426c5ull, 0xe7720b0ad3342408ull, 154, 112});
 }
 
 // ---------------------------------------------------- verify memo
@@ -439,6 +446,8 @@ TEST(VerifyMemoTest, DisabledByDefaultAndInvisibleToResults) {
     // Identical campaign output — the memo only skips re-running a kernel
     // on a (key, digest, signature) triple it has already proven.
     expect_identical(off, on);
+    expect_golden(off.report, off.fp,
+                  {0x1f0afafa95b710aaull, 0x4c707a5b4ceff231ull, 110, 84});
     EXPECT_GT(after.hits, 0u) << "fleet campaign produced no repeated verifies";
     EXPECT_GT(after.misses, 0u);
 }
@@ -448,8 +457,7 @@ TEST(VerifyMemoTest, DisabledByDefaultAndInvisibleToResults) {
 TEST(SyntheticFleetTest, AddSyntheticProvisionsAndShardsAgree) {
     // add_synthetic() is the bench's bulk construction path: build two
     // identical 24-device fleets (provisioned at v1, campaign to v2), run
-    // one on the reference engine and one on 4 shards, expect identical
-    // fingerprints.
+    // one inline and one on 4 shards, expect identical fingerprints.
     auto build_and_run = [](unsigned shards, std::uint64_t& fp,
                             CampaignReport& report) {
         TestEnv env(4 * 1024);
