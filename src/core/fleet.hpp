@@ -281,10 +281,10 @@ struct CampaignReport {
     std::vector<EdgeReport> edges;
 
     /// FNV-1a over every field of the report, per-device results included.
-    /// Equal fingerprints == equal reports; the differential battery pins
-    /// sharded runs to the reference engine with this (and the bench proves
-    /// the same identity at million-device scale, where storing two full
-    /// reports for a diff would be silly).
+    /// Equal fingerprints == equal reports; the shard battery pins every
+    /// shard count to recorded goldens with this (and the bench proves the
+    /// same identity at million-device scale, where storing two full reports
+    /// for a diff would be silly).
     std::uint64_t fingerprint() const;
 };
 
@@ -304,13 +304,14 @@ public:
 
     std::size_t size() const { return members_.size(); }
 
-    /// Shards the engine across `shards` worker threads (devices are
-    /// space-partitioned by fleet index, index % shards). 0 — the default —
-    /// runs the retained single-heap reference engine. Any non-zero count
-    /// replays byte-identically to the reference: device session segments
-    /// run ahead on their shard, and the coordinator replays their event
-    /// descriptors through one heap in the reference's exact
-    /// (time, sequence) order, blocking only when a shard hasn't caught up.
+    /// Where device session steps run. 0 — the default — runs every step
+    /// inline on the calling thread, one step per event. A non-zero count
+    /// starts that many worker threads (devices are space-partitioned by
+    /// fleet index, index % shards) that run each device's session segments
+    /// ahead; the coordinator consumes their steps through the same heap in
+    /// the same (time, sequence) order, blocking only when a shard hasn't
+    /// caught up. Every shard count replays the inline campaign byte for
+    /// byte.
     void set_shards(unsigned shards) { shards_ = shards; }
 
     /// Regional edge topology (see EdgeTopology). Must be configured before
@@ -329,10 +330,6 @@ public:
     CampaignReport run(std::uint32_t app_id, const FleetPolicy& policy = {});
 
 private:
-    CampaignReport run_reference(std::uint32_t app_id, const FleetPolicy& policy);
-    CampaignReport run_sharded(std::uint32_t app_id, const FleetPolicy& policy,
-                               unsigned shards);
-
     server::UpdateServer* server_;
     std::vector<FleetMember> members_;
     std::vector<std::unique_ptr<Device>> owned_;  // add_synthetic devices

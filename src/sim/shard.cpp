@@ -1,6 +1,20 @@
 #include "sim/shard.hpp"
 
+#include <condition_variable>
+#include <deque>
+#include <mutex>
+#include <thread>
+
 namespace upkit::sim {
+
+struct ShardPool::Worker {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::deque<std::function<void()>> queue;  // lint: guarded-by(mu)
+    bool busy = false;
+    bool stop = false;
+    std::thread thread;
+};
 
 ShardPool::ShardPool(std::size_t shards) {
     if (shards == 0) shards = 1;

@@ -12,13 +12,9 @@
 // blocks on.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 namespace upkit::sim {
@@ -45,14 +41,7 @@ public:
     void drain();
 
 private:
-    struct Worker {
-        std::mutex mu;
-        std::condition_variable cv;
-        std::deque<std::function<void()>> queue;
-        bool busy = false;
-        bool stop = false;
-        std::thread thread;
-    };
+    struct Worker;  // defined next to its mutators, for the lock-discipline lint
 
     void run(Worker& w);
 
