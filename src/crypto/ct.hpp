@@ -13,10 +13,11 @@
 //     -fsanitize=memory) poison() maps onto the MSan shadow and a
 //     violation aborts the process. Without MSan the calls are no-ops and
 //     the harness falls back to operation-trace equivalence: the group-op
-//     kernels note each operation into a global trace, and the ctcheck
-//     test asserts the trace is bit-identical across different secrets —
-//     a variable-time kernel (the generic ladder, the comb walk) produces
-//     secret-shaped traces and is caught deterministically.
+//     kernels and the Fermat inversion's pow note each operation into a
+//     global trace, and the ctcheck test asserts the trace is
+//     bit-identical across different secrets — a variable-time kernel
+//     (the generic ladder, the comb walk) produces secret-shaped traces
+//     and is caught deterministically.
 //
 // declassify() is the explicit escape hatch for values that are public by
 // protocol (the r and s halves of a signature, an accept/reject bit, the
@@ -125,8 +126,9 @@ private:
 
 // ---- operation-trace fallback -------------------------------------------
 
-/// Tags for traced group operations. Values are part of the recorded trace
-/// only; renumbering is safe.
+/// Tags for traced group operations (and the field steps of
+/// Montgomery::pow). Values are part of the recorded trace only;
+/// renumbering is safe.
 enum : std::uint16_t {
     kTraceDbl = 1,        // Jacobian doubling (variable-time path)
     kTraceAdd = 2,        // full Jacobian addition
@@ -134,6 +136,8 @@ enum : std::uint16_t {
     kTraceCtDbl = 4,      // branchless doubling (hardened path)
     kTraceCtMadd = 5,     // masked mixed addition (hardened path)
     kTraceCtSelect = 6,   // full-row constant-time table scan
+    kTraceFieldSqr = 7,   // Montgomery::pow squaring step
+    kTraceFieldMul = 8,   // Montgomery::pow multiply step
 };
 
 /// Cheap global gate checked inline on the hot paths; recording costs one

@@ -33,23 +33,19 @@ public:
 
     /// a^e mod n for Montgomery-form a; result in Montgomery form.
     /// Square-and-multiply driven by the bits of `e`: variable-time in the
-    /// exponent, constant-time in the base. Every exponent in this repo is
-    /// a public curve constant (n - 2 for inversion), so secret bases are
-    /// safe here.
+    /// exponent, constant-time in the base. Every step is a branchless CIOS
+    /// mul with a ct_select reduction, and which steps run depends only on
+    /// `e`, so a secret base is safe as long as `e` is public (it always
+    /// is here: n - 2 for inversion). Each step notes kTraceFieldSqr /
+    /// kTraceFieldMul so ctcheck can pin the schedule.
     U256 pow(const U256& a, const U256& e) const;
 
-    /// Multiplicative inverse via Fermat (modulus must be prime);
-    /// Montgomery form in, Montgomery form out. Variable-time in the
-    /// (public) exponent bits only, but routes through pow/mul whose
-    /// schedule is fixed; prefer inv_ct for secret inputs anyway.
+    /// Multiplicative inverse via Fermat, a^(n-2) through pow (modulus
+    /// must be prime); Montgomery form in, Montgomery form out, inv(0) == 0.
+    /// Constant-time in `a` — the exponent is the public n - 2 — so this is
+    /// the one inversion for secret and public inputs alike, the ECDSA
+    /// nonce included.
     U256 inv(const U256& a) const;
-
-    /// Constant-time multiplicative inverse: Bernstein-Yang branchless
-    /// divsteps (safegcd). Montgomery form in, Montgomery form out;
-    /// inv_ct(0) == 0, matching inv(). Works for any odd modulus (does
-    /// not require primality), fixed 744-iteration schedule with no
-    /// data-dependent branches or memory accesses.
-    U256 inv_ct(const U256& a) const;
 
     /// Reduces an arbitrary 256-bit value into [0, n).
     U256 reduce(const U256& a) const;

@@ -77,32 +77,38 @@ std::optional<AffinePoint> P256::to_affine(const Jacobian& p) const {
     // Whether a scalar multiple is the identity is public by protocol
     // (callers reject k == 0 before, or treat nullopt as a public error).
     if (ct::declassify_value(p.infinity())) return std::nullopt;
-    const U256 zinv = fp_.inv(p.z);  // lint: inv-audited (result is a public affine point)
+    const U256 zinv = fp_.inv(p.z);
     const U256 zinv2 = fp_.sqr(zinv);
     const U256 zinv3 = fp_.mul(zinv2, zinv);
     return AffinePoint{fp_.from_mont(fp_.mul(p.x, zinv2)), fp_.from_mont(fp_.mul(p.y, zinv3))};
 }
 
-P256::Jacobian P256::dbl(const Jacobian& p) const {
-    ct::trace_note(ct::kTraceDbl);
-    if (p.infinity() || p.y.is_zero()) return Jacobian{};  // 2*inf = inf; y=0 is order-2 (absent on P-256)
-    // dbl-2001-b formulas specialized for a = -3.
+P256::Jacobian P256::dbl_formula(const Jacobian& p) const {
+    // dbl-2001-b specialized for a = -3. Complete for infinity: z == 0
+    // gives z3 = (y + z)^2 - gamma - delta = 2yz = 0. (y == 0 would be an
+    // order-2 point; P-256 has none, and the all-zero infinity encoding
+    // also lands on z3 == 0.)
     const U256 delta = fp_.sqr(p.z);
     const U256 gamma = fp_.sqr(p.y);
     const U256 beta = fp_.mul(p.x, gamma);
-    const U256 alpha = fp_.mul(fp_.add(fp_.add(fp_.sub(p.x, delta), fp_.sub(p.x, delta)),
-                                       fp_.sub(p.x, delta)),
-                               fp_.add(p.x, delta));
-    U256 x3 = fp_.sub(fp_.sqr(alpha), fp_.add(fp_.add(beta, beta), fp_.add(beta, beta)));
-    x3 = fp_.sub(x3, fp_.add(fp_.add(beta, beta), fp_.add(beta, beta)));
+    const U256 x_minus = fp_.sub(p.x, delta);
+    const U256 alpha = fp_.mul(fp_.add(fp_.add(x_minus, x_minus), x_minus), fp_.add(p.x, delta));
+    const U256 beta2 = fp_.add(beta, beta);
+    const U256 beta4 = fp_.add(beta2, beta2);
+    const U256 x3 = fp_.sub(fp_.sqr(alpha), fp_.add(beta4, beta4));
     const U256 z3 = fp_.sub(fp_.sub(fp_.sqr(fp_.add(p.y, p.z)), gamma), delta);
-    const U256 four_beta = fp_.add(fp_.add(beta, beta), fp_.add(beta, beta));
     const U256 gamma2 = fp_.sqr(gamma);
-    const U256 eight_gamma2 =
-        fp_.add(fp_.add(fp_.add(gamma2, gamma2), fp_.add(gamma2, gamma2)),
-                fp_.add(fp_.add(gamma2, gamma2), fp_.add(gamma2, gamma2)));
-    const U256 y3 = fp_.sub(fp_.mul(alpha, fp_.sub(four_beta, x3)), eight_gamma2);
+    const U256 gamma2x2 = fp_.add(gamma2, gamma2);
+    const U256 gamma2x4 = fp_.add(gamma2x2, gamma2x2);
+    const U256 y3 = fp_.sub(fp_.mul(alpha, fp_.sub(beta4, x3)), fp_.add(gamma2x4, gamma2x4));
     return Jacobian{x3, y3, z3};
+}
+
+P256::Jacobian P256::dbl(const Jacobian& p) const {
+    ct::trace_note(ct::kTraceDbl);
+    // 2*inf = inf; y == 0 would be order 2 (absent on P-256).
+    if (p.infinity() || p.y.is_zero()) return Jacobian{};
+    return dbl_formula(p);
 }
 
 P256::Jacobian P256::add(const Jacobian& p, const Jacobian& q) const {
@@ -133,21 +139,17 @@ P256::Jacobian P256::add(const Jacobian& p, const Jacobian& q) const {
     return Jacobian{x3, y3, z3};
 }
 
-P256::Jacobian P256::add_mixed(const Jacobian& p, const MontAffine& q) const {
-    ct::trace_note(ct::kTraceMadd);
-    if (p.infinity()) return Jacobian{q.x, q.y, fp_.one()};
-    // madd-2007-bl (q affine, z2 = 1).
+P256::Jacobian P256::madd_formula(const Jacobian& p, const MontAffine& q) const {
+    // madd-2007-bl (q affine, z2 = 1), no special cases.
     const U256 z1z1 = fp_.sqr(p.z);
     const U256 u2 = fp_.mul(q.x, z1z1);
     const U256 s2 = fp_.mul(fp_.mul(q.y, p.z), z1z1);
     const U256 h = fp_.sub(u2, p.x);
-    const U256 r = fp_.add(fp_.sub(s2, p.y), fp_.sub(s2, p.y));
-    if (h.is_zero()) {
-        if (r.is_zero()) return dbl(p);  // same point
-        return Jacobian{};               // P + (-P) = infinity
-    }
+    const U256 s2_minus = fp_.sub(s2, p.y);
+    const U256 r = fp_.add(s2_minus, s2_minus);
     const U256 hh = fp_.sqr(h);
-    const U256 i = fp_.add(fp_.add(hh, hh), fp_.add(hh, hh));
+    const U256 hh2 = fp_.add(hh, hh);
+    const U256 i = fp_.add(hh2, hh2);
     const U256 j = fp_.mul(h, i);
     const U256 v = fp_.mul(p.x, i);
     const U256 x3 = fp_.sub(fp_.sub(fp_.sqr(r), j), fp_.add(v, v));
@@ -155,6 +157,20 @@ P256::Jacobian P256::add_mixed(const Jacobian& p, const MontAffine& q) const {
     const U256 y3 = fp_.sub(fp_.mul(r, fp_.sub(v, x3)), fp_.add(yj, yj));
     const U256 z3 = fp_.sub(fp_.sub(fp_.sqr(fp_.add(p.z, h)), z1z1), hh);
     return Jacobian{x3, y3, z3};
+}
+
+P256::Jacobian P256::add_mixed(const Jacobian& p, const MontAffine& q) const {
+    ct::trace_note(ct::kTraceMadd);
+    if (p.infinity()) return Jacobian{q.x, q.y, fp_.one()};
+    const Jacobian sum = madd_formula(p, q);
+    // z3 = 2 * z1 * h with z1 != 0, so z3 == 0 exactly when h == 0 (p and
+    // q share x); then j = v = 0 and x3 = r^2, so x3 == 0 exactly when
+    // r == 0 as well (p == q).
+    if (sum.z.is_zero()) {
+        if (sum.x.is_zero()) return dbl(p);  // same point
+        return Jacobian{};                   // P + (-P) = infinity
+    }
+    return sum;
 }
 
 void P256::normalize_batch(const Jacobian* jac, MontAffine* out, std::size_t count) const {
@@ -168,7 +184,7 @@ void P256::normalize_batch(const Jacobian* jac, MontAffine* out, std::size_t cou
         prefix[i] = run;
     }
     // (z_0 ... z_{count-1})^-1; normalizes public precomputed tables.
-    U256 inv_tail = fp_.inv(prefix[count - 1]);  // lint: inv-audited (public table points)
+    U256 inv_tail = fp_.inv(prefix[count - 1]);
     for (std::size_t i = count; i-- > 0;) {
         const U256 zinv = i == 0 ? inv_tail : fp_.mul(inv_tail, prefix[i - 1]);
         inv_tail = fp_.mul(inv_tail, jac[i].z);
@@ -240,26 +256,7 @@ void P256::build_odd_row(const Jacobian& base, Jacobian* out) const {
 
 P256::Jacobian P256::ct_dbl(const Jacobian& p) const {
     ct::trace_note(ct::kTraceCtDbl);
-    // dbl-2001-b is complete for infinity: z == 0 gives
-    // z3 = (y + z)^2 - gamma - delta = 2yz = 0, so no guard branch is
-    // needed. (y == 0 would be an order-2 point; P-256 has none, and the
-    // all-zero infinity encoding also lands on z3 == 0.)
-    const U256 delta = fp_.sqr(p.z);
-    const U256 gamma = fp_.sqr(p.y);
-    const U256 beta = fp_.mul(p.x, gamma);
-    const U256 alpha = fp_.mul(fp_.add(fp_.add(fp_.sub(p.x, delta), fp_.sub(p.x, delta)),
-                                       fp_.sub(p.x, delta)),
-                               fp_.add(p.x, delta));
-    U256 x3 = fp_.sub(fp_.sqr(alpha), fp_.add(fp_.add(beta, beta), fp_.add(beta, beta)));
-    x3 = fp_.sub(x3, fp_.add(fp_.add(beta, beta), fp_.add(beta, beta)));
-    const U256 z3 = fp_.sub(fp_.sub(fp_.sqr(fp_.add(p.y, p.z)), gamma), delta);
-    const U256 four_beta = fp_.add(fp_.add(beta, beta), fp_.add(beta, beta));
-    const U256 gamma2 = fp_.sqr(gamma);
-    const U256 eight_gamma2 =
-        fp_.add(fp_.add(fp_.add(gamma2, gamma2), fp_.add(gamma2, gamma2)),
-                fp_.add(fp_.add(gamma2, gamma2), fp_.add(gamma2, gamma2)));
-    const U256 y3 = fp_.sub(fp_.mul(alpha, fp_.sub(four_beta, x3)), eight_gamma2);
-    return Jacobian{x3, y3, z3};
+    return dbl_formula(p);
 }
 
 P256::Jacobian P256::ct_add_mixed(const Jacobian& p, const MontAffine& q,
@@ -267,23 +264,11 @@ P256::Jacobian P256::ct_add_mixed(const Jacobian& p, const MontAffine& q,
     ct::trace_note(ct::kTraceCtMadd);
     // madd-2007-bl computed unconditionally; the special cases are resolved
     // by mask-selects afterwards, so the operation sequence is fixed.
-    const U256 z1z1 = fp_.sqr(p.z);
-    const U256 u2 = fp_.mul(q.x, z1z1);
-    const U256 s2 = fp_.mul(fp_.mul(q.y, p.z), z1z1);
-    const U256 h = fp_.sub(u2, p.x);
-    const U256 r = fp_.add(fp_.sub(s2, p.y), fp_.sub(s2, p.y));
-    const U256 hh = fp_.sqr(h);
-    const U256 i = fp_.add(fp_.add(hh, hh), fp_.add(hh, hh));
-    const U256 j = fp_.mul(h, i);
-    const U256 v = fp_.mul(p.x, i);
-    const U256 x3 = fp_.sub(fp_.sub(fp_.sqr(r), j), fp_.add(v, v));
-    const U256 yj = fp_.mul(p.y, j);
-    const U256 y3 = fp_.sub(fp_.mul(r, fp_.sub(v, x3)), fp_.add(yj, yj));
-    const U256 z3 = fp_.sub(fp_.sub(fp_.sqr(fp_.add(p.z, h)), z1z1), hh);
+    const Jacobian sum = madd_formula(p, q);
     // p == infinity: the sum is q lifted to Jacobian (z = 1).
     const std::uint64_t p_inf = ct_is_zero_mask(p.z);
-    Jacobian out{ct_select(p_inf, q.x, x3), ct_select(p_inf, q.y, y3),
-                 ct_select(p_inf, fp_.one(), z3)};
+    Jacobian out{ct_select(p_inf, q.x, sum.x), ct_select(p_inf, q.y, sum.y),
+                 ct_select(p_inf, fp_.one(), sum.z)};
     // q == 0 (a zero Booth digit): keep p. Applied last, so an all-zero q
     // against an infinite p still yields infinity.
     out.x = ct_select(q_zero_mask, p.x, out.x);
@@ -382,18 +367,22 @@ int P256::wnaf_recode(U256 k, std::int8_t* digits) {
     return len;
 }
 
+void P256::fold_digit(Jacobian& acc, const MontAffine* table, unsigned row, int d) const {
+    const MontAffine* odd = table + row * kWnafOddEntries;
+    if (d > 0) {
+        acc = add_mixed(acc, odd[d >> 1]);
+    } else if (d < 0) {
+        acc = add_mixed(acc, neg(odd[(-d) >> 1]));
+    }
+}
+
 P256::Jacobian P256::wnaf_mul(const U256& k, const MontAffine* odd) const {
     std::int8_t digits[kWnafMaxDigits];
     const int len = wnaf_recode(k, digits);
     Jacobian acc{};
     for (int i = len - 1; i >= 0; --i) {
         acc = dbl(acc);
-        const int d = digits[i];
-        if (d > 0) {
-            acc = add_mixed(acc, odd[d >> 1]);
-        } else if (d < 0) {
-            acc = add_mixed(acc, neg(odd[(-d) >> 1]));
-        }
+        fold_digit(acc, odd, 0, digits[i]);
     }
     return acc;
 }
@@ -406,20 +395,14 @@ P256::Jacobian P256::wnaf_mul(const U256& k, const Precomputed& pre) const {
     std::int8_t digits[kWnafMaxDigits] = {};
     (void)wnaf_recode(k, digits);
     const MontAffine* table = pre.table_.data();
-    const auto fold = [&](Jacobian& acc, unsigned row, int d) {
-        if (d > 0) {
-            acc = add_mixed(acc, table[row * kWnafOddEntries + static_cast<unsigned>(d >> 1)]);
-        } else if (d < 0) {
-            acc = add_mixed(acc, neg(table[row * kWnafOddEntries + static_cast<unsigned>((-d) >> 1)]));
-        }
-    };
     Jacobian acc{};
     for (int b = Precomputed::kRowShift - 1; b >= 0; --b) {
         acc = dbl(acc);
         for (unsigned row = 0; row < 4; ++row) {
-            fold(acc, row, digits[Precomputed::kRowShift * row + static_cast<unsigned>(b)]);
+            const unsigned pos = Precomputed::kRowShift * row + static_cast<unsigned>(b);
+            fold_digit(acc, table, row, digits[pos]);
         }
-        if (b == 0) fold(acc, 4, digits[256]);
+        if (b == 0) fold_digit(acc, table, 4, digits[256]);
     }
     return acc;
 }
@@ -543,66 +526,6 @@ std::optional<AffinePoint> P256::mul_add_generic(const U256& u1, const U256& u2,
     return to_affine(acc);
 }
 
-P256::Jacobian P256::wnaf_mul2(const U256& ka, const Precomputed& pa, const U256& kb,
-                               const Precomputed& pb) const {
-    // Strauss interleaving of TWO per-key tables: both scalars' digit
-    // streams ride the same 64-doubling chain, so the marginal cost of the
-    // second point is additions only (~11 madds at wNAF density 1/6).
-    std::int8_t da[kWnafMaxDigits] = {};
-    std::int8_t db[kWnafMaxDigits] = {};
-    (void)wnaf_recode(ka, da);
-    (void)wnaf_recode(kb, db);
-    const auto fold = [&](Jacobian& acc, const Precomputed& pre, unsigned row, int d) {
-        const MontAffine* table = pre.table_.data();
-        if (d > 0) {
-            acc = add_mixed(acc, table[row * kWnafOddEntries + static_cast<unsigned>(d >> 1)]);
-        } else if (d < 0) {
-            acc = add_mixed(acc, neg(table[row * kWnafOddEntries + static_cast<unsigned>((-d) >> 1)]));
-        }
-    };
-    Jacobian acc{};
-    for (int b = Precomputed::kRowShift - 1; b >= 0; --b) {
-        acc = dbl(acc);
-        for (unsigned row = 0; row < 4; ++row) {
-            const unsigned pos = Precomputed::kRowShift * row + static_cast<unsigned>(b);
-            fold(acc, pa, row, da[pos]);
-            fold(acc, pb, row, db[pos]);
-        }
-        if (b == 0) {
-            fold(acc, pa, 4, da[256]);
-            fold(acc, pb, 4, db[256]);
-        }
-    }
-    return acc;
-}
-
-std::optional<AffinePoint> P256::mul_add4(const U256& u1, const U256& u2,
-                                          const Precomputed& p1, const U256& u3,
-                                          const U256& u4, const Precomputed& p2) const {
-    // The two fixed-base halves are one comb walk over (u1 + u3) mod n; the
-    // two variable-base halves share one interleaved wNAF walk.
-    const U256 a = fn_.add(fn_.reduce(u1), fn_.reduce(u3));
-    const U256 u2r = fn_.reduce(u2);
-    const U256 u4r = fn_.reduce(u4);
-    Jacobian acc = a.is_zero() ? Jacobian{} : comb_mul_base(a);
-    if (!u2r.is_zero() || !u4r.is_zero()) acc = add(acc, wnaf_mul2(u2r, p1, u4r, p2));
-    return to_affine(acc);
-}
-
-std::optional<AffinePoint> P256::mul_add4_generic(const U256& u1, const U256& u2,
-                                                  const AffinePoint& p1, const U256& u3,
-                                                  const U256& u4, const AffinePoint& p2) const {
-    const U256 u1r = fn_.reduce(u1);
-    const U256 u2r = fn_.reduce(u2);
-    const U256 u3r = fn_.reduce(u3);
-    const U256 u4r = fn_.reduce(u4);
-    Jacobian acc = u1r.is_zero() ? Jacobian{} : scalar_mul(u1r, to_jacobian(g_));
-    if (!u2r.is_zero()) acc = add(acc, scalar_mul(u2r, to_jacobian(p1)));
-    if (!u3r.is_zero()) acc = add(acc, scalar_mul(u3r, to_jacobian(g_)));
-    if (!u4r.is_zero()) acc = add(acc, scalar_mul(u4r, to_jacobian(p2)));
-    return to_affine(acc);
-}
-
 P256::Jacobian P256::jneg(const Jacobian& q) const {
     return Jacobian{q.x, fp_.sub(U256::zero(), q.y), q.z};
 }
@@ -690,14 +613,8 @@ std::optional<bool> P256::verify2_combination(const U256& u1, const U256& u2,
     (void)wnaf_recode(u2r, da);
     (void)wnaf_recode(c, db);
     (void)wnaf_recode(g, dg);
-    const auto fold_table = [&](Jacobian& acc, const Precomputed& pre, unsigned row, int d) {
-        const MontAffine* table = pre.table_.data();
-        if (d > 0) {
-            acc = add_mixed(acc, table[row * kWnafOddEntries + static_cast<unsigned>(d >> 1)]);
-        } else if (d < 0) {
-            acc = add_mixed(acc, neg(table[row * kWnafOddEntries + static_cast<unsigned>((-d) >> 1)]));
-        }
-    };
+    const MontAffine* t1 = p1.table_.data();
+    const MontAffine* t2 = p2.table_.data();
     // Folds -d * R2 (note the sign flip: the walk subtracts gamma*R2).
     const auto fold_r2_neg = [&](Jacobian& acc, int d) {
         if (d > 0) {
@@ -712,13 +629,13 @@ std::optional<bool> P256::verify2_combination(const U256& u1, const U256& u2,
         acc = dbl(acc);
         for (unsigned row = 0; row < 4; ++row) {
             const unsigned pos = Precomputed::kRowShift * row + static_cast<unsigned>(b);
-            fold_table(acc, p1, row, da[pos]);
-            fold_table(acc, p2, row, db[pos]);
+            fold_digit(acc, t1, row, da[pos]);
+            fold_digit(acc, t2, row, db[pos]);
         }
         fold_r2_neg(acc, dg[static_cast<unsigned>(b)]);
         if (b == 0) {
-            fold_table(acc, p1, 4, da[256]);
-            fold_table(acc, p2, 4, db[256]);
+            fold_digit(acc, t1, 4, da[256]);
+            fold_digit(acc, t2, 4, db[256]);
         }
     }
     if (!a.is_zero()) acc = add(acc, comb_mul_base(a));

@@ -134,8 +134,10 @@ public:
     std::optional<AffinePoint> mul_ct(const U256& k, const AffinePoint& p) const;
 
     /// Builds the interleaved odd-multiples table for P (must be on curve,
-    /// prime order — every public key is). ~45 group ops + one inversion;
-    /// amortized to zero across a long-lived key's verifications.
+    /// prime order — every public key is). 4 x 64 doublings to reach the
+    /// row bases plus 1 doubling and 7 additions per odd row (~300 group
+    /// ops) and one inversion; amortized to zero across a long-lived key's
+    /// verifications.
     Precomputed precompute(const AffinePoint& p) const;
 
     /// u1*G + u2*P in one shot (ECDSA verification workhorse). The u1*G
@@ -153,23 +155,6 @@ public:
     /// optimized verify path against.
     std::optional<AffinePoint> mul_add_generic(const U256& u1, const U256& u2,
                                                const AffinePoint& p) const;
-
-    /// u1*G + u2*P1 + u3*G + u4*P2 — the 4-point Shamir/Strauss form of the
-    /// double-signature verification equation. The two fixed-base halves
-    /// collapse into one comb walk over (u1 + u3) mod n, and the two
-    /// variable-base halves share a single 64-doubling interleaved wNAF
-    /// walk folding both per-key tables, so the combined multiplication
-    /// costs one walk's doublings instead of two. Variable-time; PUBLIC
-    /// scalars only (ECDSA verification inputs are).
-    std::optional<AffinePoint> mul_add4(const U256& u1, const U256& u2,
-                                        const Precomputed& p1, const U256& u3,
-                                        const U256& u4, const Precomputed& p2) const;
-
-    /// The same 4-point sum via the generic double-and-add ladder on every
-    /// half — the reference the differential suite pins mul_add4 against.
-    std::optional<AffinePoint> mul_add4_generic(const U256& u1, const U256& u2,
-                                                const AffinePoint& p1, const U256& u3,
-                                                const U256& u4, const AffinePoint& p2) const;
 
     /// Batched double-ECDSA combination test with a randomized linear
     /// combination: decides whether, for some signs s1, s2 and some affine
@@ -201,6 +186,12 @@ private:
 
     Jacobian to_jacobian(const AffinePoint& p) const;
     std::optional<AffinePoint> to_affine(const Jacobian& p) const;
+    /// dbl-2001-b (a = -3) with no special cases; complete for infinity.
+    /// The one doubling body behind dbl() and ct_dbl().
+    Jacobian dbl_formula(const Jacobian& p) const;
+    /// madd-2007-bl (q affine) with no special cases. The one mixed-addition
+    /// body behind add_mixed() and ct_add_mixed().
+    Jacobian madd_formula(const Jacobian& p, const MontAffine& q) const;
     Jacobian dbl(const Jacobian& p) const;
     Jacobian add(const Jacobian& p, const Jacobian& q) const;
     /// p + q for affine q (madd-2007-bl); handles infinity/double/negate.
@@ -226,17 +217,17 @@ private:
     /// zero-initialize when reading fixed positions.
     static int wnaf_recode(U256 k, std::int8_t* digits);
 
+    /// acc += d * P for one signed wNAF digit, served from odd-multiples
+    /// row `row` of `table` (kWnafOddEntries entries per row): a mixed
+    /// addition of entry |d| / 2, negated for d < 0; nothing for d == 0.
+    /// Shared by both wnaf_mul walks and verify2_combination.
+    void fold_digit(Jacobian& acc, const MontAffine* table, unsigned row, int d) const;
+
     /// wNAF walk over a single odd-multiples row (256 doublings).
     Jacobian wnaf_mul(const U256& k, const MontAffine* odd) const;
 
     /// Interleaved wNAF walk over a per-key table (64 doublings).
     Jacobian wnaf_mul(const U256& k, const Precomputed& pre) const;
-
-    /// ka*Pa + kb*Pb in ONE interleaved walk: both scalars' wNAF digits are
-    /// folded against their own table inside the same 64-doubling chain, so
-    /// the doubling cost of the second point drops to zero.
-    Jacobian wnaf_mul2(const U256& ka, const Precomputed& pa, const U256& kb,
-                       const Precomputed& pb) const;
 
     /// -q in Jacobian coordinates (field negation of y).
     Jacobian jneg(const Jacobian& q) const;
@@ -257,12 +248,12 @@ private:
     static constexpr unsigned kCtWindows = 256 / kCtWindowBits + 1;  // 65
     static constexpr unsigned kCtRowEntries = 1u << (kCtWindowBits - 1);  // 8
 
-    /// Branchless doubling: the dbl-2001-b formulas are already complete
-    /// for infinity (z = 0 gives z3 = 2yz = 0), so this is dbl() minus the
+    /// Branchless doubling: dbl_formula() is already complete for
+    /// infinity (z = 0 gives z3 = 2yz = 0), so this is dbl() minus the
     /// early-out branch.
     Jacobian ct_dbl(const Jacobian& p) const;
 
-    /// Masked mixed addition: madd-2007-bl computed unconditionally, with
+    /// Masked mixed addition: madd_formula() computed unconditionally, with
     /// the p-is-infinity and q-is-zero cases resolved by constant-time
     /// selects instead of branches. The exceptional same-x cases (double /
     /// inverse) are unreachable for the Booth walks' partial sums except

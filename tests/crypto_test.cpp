@@ -292,12 +292,19 @@ TEST(MontgomeryTest, AddSubInverse) {
     }
 }
 
-// Differential battery for the constant-time Bernstein-Yang inversion: it
-// must agree bit-for-bit with the Fermat-ladder inv() on both P-256 moduli
-// (field prime and group order) across seeded random inputs and the edge
-// shapes where divstep implementations historically break (0, 1, n-1, and
-// every power of two, which stress the halving/negation paths).
-TEST(MontgomeryTest, InvCtMatchesFermatOnSeededInputs) {
+// Identity battery for the Fermat inversion, the one inverse every caller
+// (the ECDSA nonce included) goes through: on both P-256 moduli (field
+// prime and group order), a * inv(a) == 1 and inv(inv(a)) == a across
+// seeded random inputs and the edge shapes 0, 1, n-1, and every power of
+// two.
+void expect_inverse_identities(const Montgomery& m, const U256& am, const char* what,
+                               int i) {
+    const U256 got = m.inv(am);
+    ASSERT_EQ(m.from_mont(m.mul(am, got)), U256::one()) << what << " " << i;
+    ASSERT_EQ(m.inv(got), am) << what << " " << i;
+}
+
+TEST(MontgomeryTest, InvIdentitiesOnSeededInputs) {
     const P256& curve = P256::instance();
     Rng rng(41);
     for (const Montgomery* m : {&curve.field(), &curve.order()}) {
@@ -305,32 +312,26 @@ TEST(MontgomeryTest, InvCtMatchesFermatOnSeededInputs) {
             Bytes raw = rng.bytes(32);
             const U256 a = m->reduce(U256::from_be_bytes(raw));
             if (a.is_zero()) continue;
-            const U256 am = m->to_mont(a);
-            const U256 got = m->inv_ct(am);
-            ASSERT_EQ(got, m->inv(am)) << "modulus/iteration " << i;
-            ASSERT_EQ(m->from_mont(m->mul(am, got)), U256::one());
+            expect_inverse_identities(*m, m->to_mont(a), "seeded", i);
         }
     }
 }
 
-TEST(MontgomeryTest, InvCtEdgeCases) {
+TEST(MontgomeryTest, InvEdgeCases) {
     const P256& curve = P256::instance();
     for (const Montgomery* m : {&curve.field(), &curve.order()}) {
-        // inv_ct(0) == 0, matching Fermat's 0^(n-2) convention.
-        EXPECT_EQ(m->inv_ct(U256{}), U256{});
-        EXPECT_EQ(m->inv_ct(U256{}), m->inv(U256{}));
+        // inv(0) == 0: Fermat's 0^(n-2) convention.
+        EXPECT_EQ(m->inv(U256{}), U256{});
         // 1 and n-1 are their own inverses.
-        EXPECT_EQ(m->inv_ct(m->one()), m->one());
+        EXPECT_EQ(m->inv(m->one()), m->one());
         U256 nm1;
         sub(nm1, m->modulus(), U256::one());
         const U256 nm1m = m->to_mont(nm1);
-        EXPECT_EQ(m->inv_ct(nm1m), nm1m);
-        // Powers of two exercise maximal halving chains in the divstep.
+        EXPECT_EQ(m->inv(nm1m), nm1m);
         for (unsigned k = 0; k < 256; ++k) {
             U256 p{};
             p.w[k / 64] = std::uint64_t{1} << (k % 64);
-            const U256 pm = m->to_mont(p);
-            ASSERT_EQ(m->inv_ct(pm), m->inv(pm)) << "2^" << k;
+            expect_inverse_identities(*m, m->to_mont(p), "2^k", static_cast<int>(k));
         }
     }
 }

@@ -16,11 +16,13 @@
 //    the ctgrind model and catches leaks at the exact instruction.
 //
 //  * Plain build (any compiler): operation-trace equivalence. The P256
-//    group-op kernels note each operation into a global trace; a
-//    constant-time kernel produces the identical trace for every scalar,
-//    while the comb walk / wNAF / generic ladder produce scalar-shaped
-//    traces. Deterministic, no sanitizer required — this is what runs in
-//    the default CI test job and on developer machines without clang.
+//    group-op kernels and Montgomery::pow (so every inversion) note each
+//    operation into a global trace; a constant-time kernel produces the
+//    identical trace for every scalar, while the comb walk / wNAF /
+//    generic ladder produce scalar-shaped traces. Deterministic, no
+//    sanitizer required — this is what runs in the default CI test job
+//    and on developer machines without clang.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -65,9 +67,11 @@ std::vector<std::uint16_t> trace_of(Fn&& fn) {
     return ct::trace_take();
 }
 
-/// Asserts the kernel's operation trace is identical across all scalars.
+/// Asserts the kernel's operation trace is identical across all scalars;
+/// returns the first scalar's trace.
 template <typename Fn>
-void expect_fixed_trace(const char* what, const std::vector<U256>& scalars, Fn&& kernel) {
+std::vector<std::uint16_t> expect_fixed_trace(const char* what, const std::vector<U256>& scalars,
+                                              Fn&& kernel) {
     std::vector<std::uint16_t> reference;
     for (std::size_t i = 0; i < scalars.size(); ++i) {
         auto t = trace_of([&] { kernel(scalars[i]); });
@@ -80,6 +84,7 @@ void expect_fixed_trace(const char* what, const std::vector<U256>& scalars, Fn&&
             ++g_failures;
         }
     }
+    return reference;
 }
 
 std::vector<U256> secret_scalars() {
@@ -119,13 +124,27 @@ void check_mul_ct() {
     });
 }
 
+void check_inv_trace() {
+    // Fermat inversion over a secret input (the ECDSA nonce takes it on the
+    // order, to_affine on the field): pow's square/multiply schedule must
+    // follow only the public exponent n - 2.
+    const P256& curve = P256::instance();
+    expect_fixed_trace("Montgomery::inv (field)", secret_scalars(), [&](const U256& k) {
+        (void)curve.field().inv(curve.field().to_mont(k));
+    });
+    expect_fixed_trace("Montgomery::inv (order)", secret_scalars(), [&](const U256& k) {
+        (void)curve.order().inv(curve.order().to_mont(k));
+    });
+}
+
 void check_sign_trace() {
     // End-to-end: the only group operations in ecdsa_sign must be the fixed
-    // Booth sequence, whatever the key and message.
+    // Booth sequence, and the nonce inversion's field steps the fixed
+    // Fermat schedule, whatever the key and message.
+    const Montgomery& fn = P256::instance().order();
     std::vector<U256> keys;
-    for (std::uint64_t s = 21; s <= 24; ++s)
-        keys.push_back(P256::instance().order().reduce(scalar_from_seed(s)));
-    expect_fixed_trace("ecdsa_sign", keys, [&](const U256& d) {
+    for (std::uint64_t s = 21; s <= 24; ++s) keys.push_back(fn.reduce(scalar_from_seed(s)));
+    const auto sign_trace = expect_fixed_trace("ecdsa_sign", keys, [&](const U256& d) {
         const Bytes raw = d.to_be_bytes();
         const auto key = PrivateKey::from_bytes(ByteSpan(raw));
         check(key.has_value(), "sign key load");
@@ -133,6 +152,12 @@ void check_sign_trace() {
         const Signature sig = ecdsa_sign(*key, digest);
         check(sig[0] | sig[31] | 1, "sig produced");
     });
+    // The traced signature must contain the order inversion's whole
+    // schedule, or the nonce inverse escaped the check above.
+    const auto inv_trace = trace_of([&] { (void)fn.inv(fn.to_mont(keys[0])); });
+    check(std::search(sign_trace.begin(), sign_trace.end(), inv_trace.begin(),
+                      inv_trace.end()) != sign_trace.end(),
+          "ecdsa_sign trace includes the nonce inversion");
 }
 
 void check_ecdh_trace() {
@@ -277,6 +302,7 @@ int main(int argc, char** argv) {
 
     check_mul_base_ct();
     check_mul_ct();
+    check_inv_trace();
     check_sign_trace();
     check_ecdh_trace();
     check_harness_sensitivity();

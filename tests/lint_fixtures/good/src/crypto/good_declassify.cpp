@@ -24,7 +24,7 @@ bool declassified_branch(const PrivateKey& key, const Sha256Digest& digest) {
 U256 ct_inverse_of_nonce(const Montgomery& fn, const PrivateKey& key,
                          const Sha256Digest& digest) {
     const U256 k = rfc6979_nonce(key.scalar(), digest);
-    return fn.inv_ct(fn.to_mont(k));
+    return fn.inv(fn.to_mont(k));
 }
 
 }  // namespace upkit::crypto

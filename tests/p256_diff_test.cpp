@@ -400,7 +400,7 @@ TEST(P256DiffTest, MulAddVariantsMatchGenericReference) {
     }
 }
 
-// ---------------------------------------------- 4-point Strauss (mul_add4)
+// ------------------------------------------------- batch verify (verify2)
 
 U256 mod_mul(const Montgomery& fn, const U256& a, const U256& b) {
     return fn.from_mont(fn.mul(fn.to_mont(a), fn.to_mont(b)));
@@ -409,78 +409,6 @@ U256 mod_mul(const Montgomery& fn, const U256& a, const U256& b) {
 U256 mod_inv(const Montgomery& fn, const U256& a) {
     return fn.from_mont(fn.inv(fn.to_mont(a)));
 }
-
-TEST(P256DiffTest, MulAdd4MatchesGenericReference) {
-    // ~1k seeded scalar quadruples against the pure-ladder reference, with
-    // edge mixes rotating through zero / one / n-1 scalars and the two
-    // tables collapsing to the same key (the verifier's equal-key corner).
-    const P256& curve = P256::instance();
-    const Montgomery& fn = curve.order();
-    Rng rng(0x5EED0010);
-    const auto points = seeded_points(4, 0x5EED0110);
-    std::vector<P256::Precomputed> tables;
-    for (const auto& p : points) tables.push_back(curve.precompute(p));
-
-    for (std::size_t i = 0; i < kCases; ++i) {
-        U256 u1 = fn.reduce(random_u256(rng));
-        U256 u2 = fn.reduce(random_u256(rng));
-        U256 u3 = fn.reduce(random_u256(rng));
-        U256 u4 = fn.reduce(random_u256(rng));
-        switch (i % 12) {
-            case 4: u1 = U256::zero(); break;
-            case 5: u2 = U256::zero(); break;
-            case 6: u3 = U256::zero(); break;
-            case 7: u4 = U256::zero(); break;
-            case 8: u1 = U256::one(); u3 = U256::one(); break;
-            case 9: sub(u2, curve.n(), U256::one()); break;
-            case 10: sub(u4, curve.n(), U256::one()); break;
-            // u1 + u3 == 0 mod n: the collapsed comb half vanishes.
-            case 11: sub(u3, curve.n(), u1.is_zero() ? curve.n() : u1); break;
-            default: break;
-        }
-        const std::size_t j = i % points.size();
-        const std::size_t j2 = (i % 3 == 0) ? j : (i + 1) % points.size();  // j == j2 every 3rd
-        expect_same(
-            curve.mul_add4(u1, u2, tables[j], u3, u4, tables[j2]),
-            curve.mul_add4_generic(u1, u2, points[j], u3, u4, points[j2]),
-            "mul_add4", i);
-    }
-}
-
-TEST(P256DiffTest, MulAdd4MatchesOrderEdgeScalars) {
-    // n±k straddles on every operand: reduction and the wNAF carry digit at
-    // position 256 must agree with the ladder through the shared walk.
-    const P256& curve = P256::instance();
-    const U256 n = curve.n();
-    const auto points = seeded_points(2, 0x5EED0111);
-    const P256::Precomputed t0 = curve.precompute(points[0]);
-    const P256::Precomputed t1 = curve.precompute(points[1]);
-    Rng rng(0x5EED0011);
-    for (std::size_t i = 0; i < 64; ++i) {
-        U256 quad[4];
-        for (auto& q : quad) {
-            const std::uint64_t d = rng.next_u64() % 17;
-            if (i % 2 == 0) {
-                add(q, n, U256::from_u64(d));  // n + k
-            } else {
-                sub(q, n, U256::from_u64(d + 1));  // n - k
-            }
-        }
-        expect_same(curve.mul_add4(quad[0], quad[1], t0, quad[2], quad[3], t1),
-                    curve.mul_add4_generic(quad[0], quad[1], points[0], quad[2],
-                                           quad[3], points[1]),
-                    "mul_add4 n±k", i);
-    }
-    // All four zero: both paths must report infinity.
-    EXPECT_FALSE(curve.mul_add4(U256::zero(), U256::zero(), t0, U256::zero(),
-                                U256::zero(), t1)
-                     .has_value());
-    EXPECT_FALSE(curve.mul_add4_generic(U256::zero(), U256::zero(), points[0],
-                                        U256::zero(), U256::zero(), points[1])
-                     .has_value());
-}
-
-// ------------------------------------------------- batch verify (verify2)
 
 TEST(P256DiffTest, Verify2AgreesWithSequentialVerifies) {
     // Honest pairs accept; any corrupted signature, digest, or key pairing

@@ -161,9 +161,9 @@ TEST_F(ToolsCliTest, LintCatchesAllSeededFixtureViolations) {
     const Bytes log = read(dir_ / "out.log");
     const std::string out(log.begin(), log.end());
     for (const char* rule_id :
-         {"raw-compare", "vt-scalar-mul", "secret-inverse", "banned-rand",
-          "banned-unbounded-copy", "banned-wall-clock", "fsm-switch-exhaustive",
-          "discarded-flash-status", "secret-taint", "lock-discipline"}) {
+         {"raw-compare", "vt-scalar-mul", "banned-rand", "banned-unbounded-copy",
+          "banned-wall-clock", "fsm-switch-exhaustive", "discarded-flash-status",
+          "secret-taint", "lock-discipline"}) {
         EXPECT_NE(out.find(std::string("[") + rule_id + "]"), std::string::npos)
             << "fixture violation for rule '" << rule_id << "' not caught:\n"
             << out;
@@ -174,9 +174,10 @@ TEST_F(ToolsCliTest, LintCatchesAllSeededFixtureViolations) {
     EXPECT_NE(out.find("default swallows"), std::string::npos) << out;
 
     // Flow-sensitive arms, each tied to its seeding fixture. Three of the
-    // four taint findings are interprocedural: a branch on a tainted
+    // five taint findings are interprocedural: a branch on a tainted
     // parameter inside a helper, a tainted return value reaching memcmp in
     // the caller, and a two-level chain ending in variable-time curve.mul.
+    // The fifth is a secret exponent reaching Montgomery::pow.
     EXPECT_NE(out.find("bad_taint_branch.cpp"), std::string::npos) << out;
     EXPECT_NE(out.find("secret-dependent branch on 'k'"), std::string::npos) << out;
     EXPECT_NE(out.find("bad_taint_helper.cpp"), std::string::npos) << out;
@@ -185,6 +186,8 @@ TEST_F(ToolsCliTest, LintCatchesAllSeededFixtureViolations) {
     EXPECT_NE(out.find("variable-time sink memcmp()"), std::string::npos) << out;
     EXPECT_NE(out.find("bad_taint_chain.cpp"), std::string::npos) << out;
     EXPECT_NE(out.find("variable-time sink mul()"), std::string::npos) << out;
+    EXPECT_NE(out.find("bad_taint_pow.cpp"), std::string::npos) << out;
+    EXPECT_NE(out.find("variable-time sink pow()"), std::string::npos) << out;
     EXPECT_NE(out.find("assigned to 'st' but never checked"), std::string::npos) << out;
     EXPECT_NE(out.find("partial switch on 'st' missing: kFlashPowerLoss"),
               std::string::npos)
