@@ -149,33 +149,33 @@ public:
             memo.hits += static_cast<std::uint64_t>(have1) + static_cast<std::uint64_t>(have2);
         }
         if (have1 && have2) return v1 && v2;
-        const bool pair_ok =
-            ecdsa_verify2(key1, digest1, signature1, key2, digest2, signature2);
-        if (pair_ok) {
-            // Both halves proven valid by the batch; memoize the misses.
-            std::lock_guard<std::mutex> lock(memo.mu);
-            if (!have1) {
-                ++memo.misses;
-                memo.results.emplace(k1, true);
-            }
-            if (!have2) {
-                ++memo.misses;
-                memo.results.emplace(k2, true);
-            }
-            return true;
-        }
-        // The batch only rejects the pair; attribute per signature so each
-        // missing half is memoized with its own verdict.
-        auto resolve = [&](const PreparedPublicKey& key, const Sha256Digest& digest,
-                           ByteSpan signature, const MemoKey& k) {
-            const bool ok = ecdsa_verify(key, digest, signature);
+        const auto record = [&](const MemoKey& k, bool ok) {
             std::lock_guard<std::mutex> lock(memo.mu);
             ++memo.misses;
             memo.results.emplace(k, ok);
-            return ok;
         };
-        if (!have1) v1 = resolve(key1, digest1, signature1, k1);
-        if (!have2) v2 = resolve(key2, digest2, signature2, k2);
+        // One half known (the fleet shape: every device carries the same
+        // vendor signature): a single prepared verify of the other half
+        // costs about half the batch, and its own verdict is memoised even
+        // when the known half is false.
+        if (have1 || have2) {
+            const bool fresh = have1 ? ecdsa_verify(key2, digest2, signature2)
+                                     : ecdsa_verify(key1, digest1, signature1);
+            record(have1 ? k2 : k1, fresh);
+            return (have1 ? v1 : v2) && fresh;
+        }
+        if (ecdsa_verify2(key1, digest1, signature1, key2, digest2, signature2)) {
+            // Both halves proven valid by the batch.
+            record(k1, true);
+            record(k2, true);
+            return true;
+        }
+        // The batch only rejects the pair; attribute per signature so each
+        // half is memoised with its own verdict.
+        v1 = ecdsa_verify(key1, digest1, signature1);
+        record(k1, v1);
+        v2 = ecdsa_verify(key2, digest2, signature2);
+        record(k2, v2);
         return v1 && v2;
     }
 

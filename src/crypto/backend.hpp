@@ -67,7 +67,8 @@ public:
     /// signature2). Semantically identical to two verify() calls; software
     /// backends override with the batched Strauss 4-point kernel
     /// (ecdsa_verify2), which shares one doubling walk and one modular
-    /// inversion across the pair. Hardware backends keep this sequential
+    /// inversion across the pair; with the verify memo on, a half the memo
+    /// already holds is not re-verified. Hardware backends keep this sequential
     /// fallback — the ATECC508 executes one verify command per signature.
     virtual bool verify2(const PreparedPublicKey& key1, const Sha256Digest& digest1,
                          ByteSpan signature1, const PreparedPublicKey& key2,

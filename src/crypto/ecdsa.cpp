@@ -246,11 +246,12 @@ Signature ecdsa_sign(const PrivateKey& key, const Sha256Digest& digest) {
 
 namespace {
 
-/// Shared verify core: signature parsing, range checks, and the final
-/// r == x mod n test. `mul_add` maps (u1, u2) to u1*G + u2*P via whichever
-/// scalar-mul path the variant uses — the only thing the variants differ in.
-template <typename MulAddFn>
-bool verify_with(const Sha256Digest& digest, ByteSpan signature, MulAddFn&& mul_add) {
+/// Shared verify core: signature parsing, range checks, and u1/u2.
+/// `verdict` decides whether u1*G + u2*P has x congruent to r mod n via
+/// whichever scalar-mul path the variant uses — the only thing the
+/// variants differ in.
+template <typename VerdictFn>
+bool verify_with(const Sha256Digest& digest, ByteSpan signature, VerdictFn&& verdict) {
     if (signature.size() != kSignatureSize) return false;
     const P256& curve = P256::instance();
     const Montgomery& fn = curve.order();
@@ -264,33 +265,38 @@ bool verify_with(const Sha256Digest& digest, ByteSpan signature, MulAddFn&& mul_
     const U256 w_m = fn.inv(fn.to_mont(s));
     const U256 u1 = fn.from_mont(fn.mul(fn.to_mont(z), w_m));
     const U256 u2 = fn.from_mont(fn.mul(fn.to_mont(r), w_m));
+    return verdict(u1, u2, r);
+}
 
-    const auto point = mul_add(u1, u2);
-    if (!point) return false;
-    return fn.reduce(point->x) == r;
+/// The affine final test: x mod n == r, infinity rejected.
+bool affine_x_matches(const std::optional<AffinePoint>& point, const U256& r) {
+    return point && P256::instance().order().reduce(point->x) == r;
 }
 
 }  // namespace
 
 bool ecdsa_verify(const PublicKey& key, const Sha256Digest& digest, ByteSpan signature) {
-    return verify_with(digest, signature, [&](const U256& u1, const U256& u2) {
+    return verify_with(digest, signature, [&](const U256& u1, const U256& u2, const U256& r) {
         // u1, u2 derive from the signature and digest, both public.
-        return P256::instance().mul_add(u1, u2, key.point());  // lint: public-scalar
+        const auto point = P256::instance().mul_add(u1, u2, key.point());  // lint: public-scalar
+        return affine_x_matches(point, r);
     });
 }
 
 bool ecdsa_verify(const PreparedPublicKey& key, const Sha256Digest& digest,
                   ByteSpan signature) {
     if (!key.valid()) return false;
-    return verify_with(digest, signature, [&](const U256& u1, const U256& u2) {
-        return P256::instance().mul_add(u1, u2, key.table());  // lint: public-scalar
+    return verify_with(digest, signature, [&](const U256& u1, const U256& u2, const U256& r) {
+        return P256::instance().verify_prepared(u1, u2, key.table(), r);  // lint: public-scalar
     });
 }
 
 bool ecdsa_verify_generic(const PublicKey& key, const Sha256Digest& digest,
                           ByteSpan signature) {
-    return verify_with(digest, signature, [&](const U256& u1, const U256& u2) {
-        return P256::instance().mul_add_generic(u1, u2, key.point());  // lint: public-scalar
+    return verify_with(digest, signature, [&](const U256& u1, const U256& u2, const U256& r) {
+        const auto point =
+            P256::instance().mul_add_generic(u1, u2, key.point());  // lint: public-scalar
+        return affine_x_matches(point, r);
     });
 }
 

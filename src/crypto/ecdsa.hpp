@@ -113,7 +113,8 @@ Signature ecdsa_sign(const PrivateKey& key, const Sha256Digest& digest);
 bool ecdsa_verify(const PublicKey& key, const Sha256Digest& digest, ByteSpan signature);
 
 /// Same, against a prepared key: the verification hot path (comb for u1*G,
-/// interleaved wNAF for u2*P, zero table construction).
+/// interleaved wNAF for u2*P, zero table construction, and an x-compare in
+/// Jacobian form, so no field inversion after the walk).
 bool ecdsa_verify(const PreparedPublicKey& key, const Sha256Digest& digest,
                   ByteSpan signature);
 

@@ -508,13 +508,33 @@ std::optional<AffinePoint> P256::mul_add(const U256& u1, const U256& u2,
     return to_affine(acc);
 }
 
-std::optional<AffinePoint> P256::mul_add(const U256& u1, const U256& u2,
-                                         const Precomputed& p) const {
+P256::Jacobian P256::mul_add_jacobian(const U256& u1, const U256& u2,
+                                      const Precomputed& p) const {
     const U256 u1r = fn_.reduce(u1);
     const U256 u2r = fn_.reduce(u2);
     Jacobian acc = u1r.is_zero() ? Jacobian{} : comb_mul_base(u1r);
     if (!u2r.is_zero()) acc = add(acc, wnaf_mul(u2r, p));
-    return to_affine(acc);
+    return acc;
+}
+
+std::optional<AffinePoint> P256::mul_add(const U256& u1, const U256& u2,
+                                         const Precomputed& p) const {
+    return to_affine(mul_add_jacobian(u1, u2, p));
+}
+
+bool P256::x_matches(const Jacobian& t, const U256& r) const {
+    // The all-zero infinity encoding would match r*0 == 0, so guard it.
+    if (t.infinity()) return false;
+    const U256 zz = fp_.sqr(t.z);
+    if (fp_.mul(fp_.to_mont(r), zz) == t.x) return true;
+    U256 rn;
+    return crypto::add(rn, r, fn_.modulus()) == 0 && rn < fp_.modulus() &&
+           fp_.mul(fp_.to_mont(rn), zz) == t.x;
+}
+
+bool P256::verify_prepared(const U256& u1, const U256& u2, const Precomputed& p,
+                           const U256& r) const {
+    return x_matches(mul_add_jacobian(u1, u2, p), r);
 }
 
 std::optional<AffinePoint> P256::mul_add_generic(const U256& u1, const U256& u2,
@@ -640,19 +660,7 @@ std::optional<bool> P256::verify2_combination(const U256& u1, const U256& u2,
     }
     if (!a.is_zero()) acc = add(acc, comb_mul_base(a));
 
-    // x-compare in Jacobian form: x1 == X/Z^2  <=>  to_mont(x1)*Z^2 == X.
-    // The all-zero infinity encoding would match x1*0 == 0, so guard it.
-    const auto x_matches = [&](const Jacobian& t) {
-        if (t.infinity()) return false;
-        const U256 zz = fp_.sqr(t.z);
-        if (fp_.mul(fp_.to_mont(r1), zz) == t.x) return true;
-        U256 x1b;
-        if (crypto::add(x1b, r1, fn_.modulus()) == 0 && x1b < fp_.modulus()) {
-            if (fp_.mul(fp_.to_mont(x1b), zz) == t.x) return true;
-        }
-        return false;
-    };
-    if (x_matches(acc)) return true;
+    if (x_matches(acc, r1)) return true;
     // Opposite sign of R2 (expected half the time on honest input): add
     // 2*gamma*R2 back, reusing the row — the digits of 2*gamma are gamma's
     // shifted up one position.
@@ -670,7 +678,7 @@ std::optional<bool> P256::verify2_combination(const U256& u1, const U256& u2,
             w = add(w, jneg(r2_row[static_cast<unsigned>((-d) >> 1)]));
         }
     }
-    return x_matches(add(acc, w));
+    return x_matches(add(acc, w), r1);
 }
 
 }  // namespace upkit::crypto

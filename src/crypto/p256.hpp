@@ -150,6 +150,14 @@ public:
     std::optional<AffinePoint> mul_add(const U256& u1, const U256& u2,
                                        const Precomputed& p) const;
 
+    /// The ECDSA verdict for a prepared key: true iff u1*G + u2*P is not
+    /// infinity and its affine x is congruent to r (r in [1, n)) mod n.
+    /// Same walks as mul_add(u1, u2, p), but x is compared in Jacobian
+    /// form (x_matches), so no final-inversion to_affine is paid.
+    /// Variable-time; PUBLIC inputs only.
+    bool verify_prepared(const U256& u1, const U256& u2, const Precomputed& p,
+                         const U256& r) const;
+
     /// u1*G + u2*P with the generic ladder on both halves — the pure
     /// reference path (no comb, no wNAF) the differential suite pins the
     /// optimized verify path against.
@@ -186,6 +194,14 @@ private:
 
     Jacobian to_jacobian(const AffinePoint& p) const;
     std::optional<AffinePoint> to_affine(const Jacobian& p) const;
+    /// u1*G + u2*P in Jacobian form: comb plus interleaved wNAF. Shared by
+    /// mul_add(u1, u2, Precomputed) and verify_prepared().
+    Jacobian mul_add_jacobian(const U256& u1, const U256& u2, const Precomputed& p) const;
+    /// x(t) mod n == r without leaving Jacobian form: x(t) is X/Z^2 and
+    /// below p < 2n, so it matches iff to_mont(r)*Z^2 == X or, when
+    /// r + n < p, to_mont(r + n)*Z^2 == X. Infinity never matches. The
+    /// x-compare behind verify_prepared() and verify2_combination().
+    bool x_matches(const Jacobian& t, const U256& r) const;
     /// dbl-2001-b (a = -3) with no special cases; complete for infinity.
     /// The one doubling body behind dbl() and ct_dbl().
     Jacobian dbl_formula(const Jacobian& p) const;

@@ -572,6 +572,71 @@ TEST(P256DiffTest, Verify2RejectsForgedCancellationPair) {
 
 // ------------------------------------------------------ ECDSA verify paths
 
+TEST(P256DiffTest, RPlusNCandidateVerifiesOnEveryPath) {
+    // The final test x(R) mod n == r has a second candidate x = r + n when
+    // x(R) lies in [n, p), a ~2^-32 slice no random signature reaches.
+    // Build one: a curve point R with x in [n, p) serves as its own public
+    // key, the digest is all zero (u1 = 0) and s = r = x - n (u2 = 1), so
+    // u1*G + u2*R = R.
+    const P256& curve = P256::instance();
+    const Montgomery& fp = curve.field();
+    const auto mont_poly = [&](const U256& xm, const U256& bm) {  // x^3 - 3x + b
+        const U256 three_x = fp.add(fp.add(xm, xm), xm);
+        return fp.add(fp.sub(fp.mul(fp.sqr(xm), xm), three_x), bm);
+    };
+    // b = gy^2 - (gx^3 - 3 gx), read off the generator.
+    const U256 gx = fp.to_mont(curve.generator().x);
+    const U256 gy = fp.to_mont(curve.generator().y);
+    const U256 bm = fp.sub(fp.sqr(gy), mont_poly(gx, U256::zero()));
+    // p = 3 mod 4: a square's root is a^((p + 1) / 4).
+    U256 root_exp;
+    (void)add(root_exp, fp.modulus(), U256::one());
+    root_exp = shr1(shr1(root_exp));
+
+    AffinePoint point{};
+    for (std::uint64_t i = 1;; ++i) {
+        ASSERT_LT(i, 256u) << "no curve point with x = n + i, i < 256";
+        U256 x;
+        (void)add(x, curve.n(), U256::from_u64(i));
+        const U256 rhs = mont_poly(fp.to_mont(x), bm);
+        const U256 y = fp.pow(rhs, root_exp);
+        if (fp.sqr(y) == rhs) {
+            point = AffinePoint{x, fp.from_mont(y)};
+            break;
+        }
+    }
+    const auto pub = PublicKey::from_point(point);
+    ASSERT_TRUE(pub.has_value());
+    const PreparedPublicKey prepared(*pub);
+    U256 r;
+    (void)sub(r, point.x, curve.n());
+    Signature sig{};
+    r.to_be_bytes(MutByteSpan(sig.data(), 32));
+    r.to_be_bytes(MutByteSpan(sig.data() + 32, 32));
+    const Sha256Digest zero{};
+
+    Rng rng(0x5EED0015);
+    const PrivateKey honest = PrivateKey::generate(rng.bytes(32));
+    const PreparedPublicKey honest_key(honest.public_key());
+    const Sha256Digest honest_digest = Sha256::digest(rng.bytes(40));
+    const Signature honest_sig = ecdsa_sign(honest, honest_digest);
+
+    EXPECT_TRUE(ecdsa_verify(prepared, zero, sig));
+    EXPECT_TRUE(ecdsa_verify(*pub, zero, sig));
+    EXPECT_TRUE(ecdsa_verify_generic(*pub, zero, sig));
+    EXPECT_TRUE(ecdsa_verify2(prepared, zero, sig, honest_key, honest_digest, honest_sig));
+    EXPECT_TRUE(ecdsa_verify2(honest_key, honest_digest, honest_sig, prepared, zero, sig));
+
+    // Flip bit 1 of r (bit 0 could zero it and stop at the range check).
+    Signature bad = sig;
+    bad[31] ^= 0x02;
+    EXPECT_FALSE(ecdsa_verify(prepared, zero, bad));
+    EXPECT_FALSE(ecdsa_verify(*pub, zero, bad));
+    EXPECT_FALSE(ecdsa_verify_generic(*pub, zero, bad));
+    EXPECT_FALSE(ecdsa_verify2(prepared, zero, bad, honest_key, honest_digest, honest_sig));
+    EXPECT_FALSE(ecdsa_verify2(honest_key, honest_digest, honest_sig, prepared, zero, bad));
+}
+
 TEST(P256DiffTest, PreparedKeysShareInternedTables) {
     // Two PreparedPublicKey instances for the same key bytes must be usable
     // interchangeably (the intern cache hands out one shared table). Runs

@@ -188,6 +188,8 @@ TEST_F(ToolsCliTest, LintCatchesAllSeededFixtureViolations) {
     EXPECT_NE(out.find("variable-time sink mul()"), std::string::npos) << out;
     EXPECT_NE(out.find("bad_taint_pow.cpp"), std::string::npos) << out;
     EXPECT_NE(out.find("variable-time sink pow()"), std::string::npos) << out;
+    // The prepared single verify is a variable-time sink too.
+    EXPECT_NE(out.find("variable-time sink verify_prepared()"), std::string::npos) << out;
     EXPECT_NE(out.find("assigned to 'st' but never checked"), std::string::npos) << out;
     EXPECT_NE(out.find("partial switch on 'st' missing: kFlashPowerLoss"),
               std::string::npos)

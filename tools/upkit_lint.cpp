@@ -548,6 +548,10 @@ int main(int argc, char** argv) {
         std::printf("%s:%zu: [%s] %s\n", f.path.c_str(), f.line, f.rule_id.c_str(),
                     f.message.c_str());
     }
+    // Findings go to buffered stdout, the budget and summary lines to
+    // unbuffered stderr: flush first, or a caller capturing both streams
+    // into one file sees the summary spliced into a finding.
+    std::fflush(stdout);
 
     const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                                 std::chrono::steady_clock::now() - t0)
