@@ -48,7 +48,6 @@ double seconds_since(Clock::time_point t0) {
 
 constexpr double kWnafGate = 2.5;     // precomputed wNAF vs generic ladder
 constexpr double kShaFloorMbS = 150;  // unrolled kernel, host RelWithDebInfo
-constexpr double kBatch2Gate = 1.5;   // verify2 vs two sequential prepared verifies
 constexpr double kShaX4Gate = 2.0;    // generic 4-lane sha256x4 vs sha256_reference
 
 struct FleetOutcome {
@@ -171,37 +170,6 @@ int main(int argc, char** argv) {
     const double verify_prepr_s = comb_s + ladder_s;
     const double verify_speedup = verify_prepr_s / verify_prepared_s;
 
-    // ---- micro: batched double verification ------------------------------
-    // UpKit's double signature: two distinct keys (vendor + server), one
-    // message digest each, verified as a pair — sequentially through the
-    // prepared hot path vs in one Strauss 4-point batch pass.
-    const crypto::PrivateKey priv2 = crypto::PrivateKey::generate(to_bytes("device-verify-2"));
-    const crypto::PublicKey pub2 = priv2.public_key();
-    const crypto::PreparedPublicKey prepared2(pub2);
-    const crypto::Sha256Digest digest2 = crypto::Sha256::digest(to_bytes("device-verify-msg-2"));
-    const crypto::Signature sig2 = crypto::ecdsa_sign(priv2, digest2);
-    crypto::Signature bad_sig = sig;
-    bad_sig[17] ^= 0x40;
-    if (!crypto::ecdsa_verify2(prepared, digest, ByteSpan(sig), prepared2, digest2,
-                               ByteSpan(sig2)) ||
-        crypto::ecdsa_verify2(prepared, digest, ByteSpan(bad_sig), prepared2, digest2,
-                              ByteSpan(sig2)) ||
-        crypto::ecdsa_verify2(prepared, digest, ByteSpan(sig), prepared2, digest,
-                              ByteSpan(sig2))) {
-        std::fprintf(stderr, "verify2 disagreement with the sequential verdicts\n");
-        return 1;
-    }
-    const double verify_seq_pair_s = time_ops(iters, [&](int) {
-        return static_cast<std::uint64_t>(
-            crypto::ecdsa_verify(prepared, digest, ByteSpan(sig)) &&
-            crypto::ecdsa_verify(prepared2, digest2, ByteSpan(sig2)));
-    });
-    const double verify2_s = time_ops(iters, [&](int) {
-        return static_cast<std::uint64_t>(crypto::ecdsa_verify2(
-            prepared, digest, ByteSpan(sig), prepared2, digest2, ByteSpan(sig2)));
-    });
-    const double verify2_speedup = verify_seq_pair_s / verify2_s;
-
     // ---- micro: SHA-256 unrolled vs rolled reference --------------------
     Bytes buf(1024 * 1024);
     for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<std::uint8_t>(i * 31 + 7);
@@ -288,17 +256,14 @@ int main(int argc, char** argv) {
         "\"wnaf_precomputed_speedup\":%.2f,"
         "\"verify_fresh_ops_s\":%.1f,\"verify_prepared_ops_s\":%.1f,"
         "\"verify_prepared_reconstruction_ops_s\":%.1f,\"verify_speedup\":%.2f,"
-        "\"verify_sequential_pair_ops_s\":%.1f,\"verify2_ops_s\":%.1f,"
-        "\"verify2_speedup\":%.2f,"
         "\"sha256_mb_s\":%.1f,\"sha256_reference_mb_s\":%.1f,"
         "\"sha256_speedup\":%.2f,"
         "\"sha256x4_impl\":\"%s\",\"sha256x4_mb_s\":%.1f,"
         "\"sha256x4_generic_mb_s\":%.1f,\"sha256x4_speedup\":%.2f,"
         "\"sha256x4_generic_speedup\":%.2f,"
         "\"calibration_ecdsa_speedup\":%.2f,\"calibration_sha256_speedup\":%.2f,"
-        "\"calibration_batch2_speedup\":%.2f,\"calibration_sha256x4_speedup\":%.2f,"
+        "\"calibration_sha256x4_speedup\":%.2f,"
         "\"tinycrypt_verify_s\":%.4f,\"tinycrypt_verify_calibrated_s\":%.4f,"
-        "\"tinycrypt_verify2_calibrated_s\":%.4f,"
         "\"tinycrypt_sha_s_per_kb\":%.6f,\"tinycrypt_sha_calibrated_s_per_kb\":%.6f,"
         "\"campaign_verification_baseline_s\":%.3f,"
         "\"campaign_verification_calibrated_s\":%.3f,"
@@ -307,12 +272,10 @@ int main(int argc, char** argv) {
         fleet, iters, 1.0 / ladder_s, 1.0 / fresh_s, 1.0 / pre_s,
         wnaf_fresh_speedup, wnaf_pre_speedup, 1.0 / verify_fresh_s,
         1.0 / verify_prepared_s, 1.0 / verify_prepr_s, verify_speedup,
-        1.0 / verify_seq_pair_s, 1.0 / verify2_s, verify2_speedup, sha_mb_s,
-        sha_ref_mb_s, sha_ref_s / sha_s, crypto::sha256x4_impl_name(sha_x4_impl),
+        sha_mb_s, sha_ref_mb_s, sha_ref_s / sha_s, crypto::sha256x4_impl_name(sha_x4_impl),
         sha_x4_mb_s, sha_x4_generic_mb_s, sha_x4_speedup, sha_x4_generic_speedup,
-        cal.ecdsa_speedup, cal.sha256_speedup, cal.batch2_speedup,
-        cal.sha256x4_speedup, paper.verify_seconds, calibrated.verify_seconds,
-        calibrated.verify2_seconds, paper.sha256_seconds_per_kb,
+        cal.ecdsa_speedup, cal.sha256_speedup, cal.sha256x4_speedup,
+        paper.verify_seconds, calibrated.verify_seconds, paper.sha256_seconds_per_kb,
         calibrated.sha256_seconds_per_kb, baseline.report.verification_s,
         hot.report.verification_s,
         baseline.report.verification_s / hot.report.verification_s,
@@ -328,14 +291,6 @@ int main(int argc, char** argv) {
                      "device_verify: prepared verify (%.1f ops/s) did not beat the "
                      "pre-PR kernel (%.1f ops/s)\n",
                      1.0 / verify_prepared_s, 1.0 / verify_prepr_s);
-        return 1;
-    }
-    if (verify2_speedup < kBatch2Gate) {
-        std::fprintf(stderr,
-                     "device_verify: batched double verification %.2fx under the "
-                     "%.1fx bar (batch %.1f pairs/s, sequential %.1f pairs/s)\n",
-                     verify2_speedup, kBatch2Gate, 1.0 / verify2_s,
-                     1.0 / verify_seq_pair_s);
         return 1;
     }
     if (sha_x4_generic_speedup < kShaX4Gate) {

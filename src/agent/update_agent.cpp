@@ -229,8 +229,7 @@ Status UpdateAgent::verify_manifest_now() {
     }
 
     const slots::SlotConfig* target = slots_->slot(config_.target_slot);
-    // Both ECDSA verifications (vendor + server), priced as one batched
-    // pass when the backend's cost model is calibrated for it.
+    // Both ECDSA verifications (vendor + server), priced as two verifies.
     const double verify_start = clock_ != nullptr ? clock_->now() : 0.0;
     charge_cpu(crypto::double_verify_seconds(verifier_->backend().costs()));
     const Status verdict =

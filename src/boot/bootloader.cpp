@@ -69,8 +69,8 @@ Status Bootloader::verify_slot_image(const Candidate& candidate, Bytes& scratch)
         return Status::kSlotTooSmall;
     }
 
-    // Both ECDSA verifications, over whichever TBS encoding the image used;
-    // priced as one batched pass when the cost model is calibrated for it.
+    // Both ECDSA verifications, over whichever TBS encoding the image used,
+    // priced as two verifies.
     charge_cpu(crypto::double_verify_seconds(verifier_->backend().costs()));
     if (candidate.envelope) {
         UPKIT_RETURN_IF_ERROR(verifier_->verify_suit_envelope(*candidate.envelope));

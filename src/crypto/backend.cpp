@@ -118,67 +118,6 @@ public:
                                [&] { return ecdsa_verify(key, digest, signature); });
     }
 
-    bool verify2(const PreparedPublicKey& key1, const Sha256Digest& digest1,
-                 ByteSpan signature1, const PreparedPublicKey& key2,
-                 const Sha256Digest& digest2, ByteSpan signature2) const override {
-        if (!g_verify_memo_enabled.load(std::memory_order_relaxed) ||
-            signature1.size() != kSignatureSize || signature2.size() != kSignatureSize) {
-            return ecdsa_verify2(key1, digest1, signature1, key2, digest2, signature2);
-        }
-        // Per-signature memo: the batch answers "both valid?", but the memo
-        // stores individual verdicts (a later single verify of either half
-        // must see the same answer), so hits and misses are counted per
-        // entry, not per pair.
-        const MemoKey k1 = memo_key(key1.key(), digest1, signature1);
-        const MemoKey k2 = memo_key(key2.key(), digest2, signature2);
-        VerifyMemo& memo = verify_memo();
-        bool have1 = false;
-        bool have2 = false;
-        bool v1 = false;
-        bool v2 = false;
-        {
-            std::lock_guard<std::mutex> lock(memo.mu);
-            if (auto it = memo.results.find(k1); it != memo.results.end()) {
-                have1 = true;
-                v1 = it->second;
-            }
-            if (auto it = memo.results.find(k2); it != memo.results.end()) {
-                have2 = true;
-                v2 = it->second;
-            }
-            memo.hits += static_cast<std::uint64_t>(have1) + static_cast<std::uint64_t>(have2);
-        }
-        if (have1 && have2) return v1 && v2;
-        const auto record = [&](const MemoKey& k, bool ok) {
-            std::lock_guard<std::mutex> lock(memo.mu);
-            ++memo.misses;
-            memo.results.emplace(k, ok);
-        };
-        // One half known (the fleet shape: every device carries the same
-        // vendor signature): a single prepared verify of the other half
-        // costs about half the batch, and its own verdict is memoised even
-        // when the known half is false.
-        if (have1 || have2) {
-            const bool fresh = have1 ? ecdsa_verify(key2, digest2, signature2)
-                                     : ecdsa_verify(key1, digest1, signature1);
-            record(have1 ? k2 : k1, fresh);
-            return (have1 ? v1 : v2) && fresh;
-        }
-        if (ecdsa_verify2(key1, digest1, signature1, key2, digest2, signature2)) {
-            // Both halves proven valid by the batch.
-            record(k1, true);
-            record(k2, true);
-            return true;
-        }
-        // The batch only rejects the pair; attribute per signature so each
-        // half is memoised with its own verdict.
-        v1 = ecdsa_verify(key1, digest1, signature1);
-        record(k1, v1);
-        v2 = ecdsa_verify(key2, digest2, signature2);
-        record(k2, v2);
-        return v1 && v2;
-    }
-
     Expected<Signature> sign(const PrivateKey& key,
                              const Sha256Digest& digest) const override {
         return ecdsa_sign(key, digest);
@@ -214,31 +153,6 @@ VerifyCalibration run_verify_calibration() {
         sink = sink + static_cast<std::uint64_t>(ecdsa_verify(prepared, digest, ByteSpan(sig)));
     }
     const double prepared_s = seconds_since(t0) / kVerifyIters;
-
-    // Batched double verification: a second, distinct key pair so the batch
-    // walks two different precomputed tables (UpKit's vendor + server keys),
-    // timed against the two sequential prepared verifies it replaces.
-    const PrivateKey priv2 = PrivateKey::generate(::upkit::to_bytes("upkit-calibration-2"));  // lint: public-value (calibration key from a fixed public seed)
-    const PublicKey pub2 = priv2.public_key();
-    const Sha256Digest digest2 = Sha256::digest(::upkit::to_bytes("calibration-msg-2"));
-    const Signature sig2 = ecdsa_sign(priv2, digest2);
-    const PreparedPublicKey prepared2(pub2);
-    (void)ecdsa_verify2(prepared, digest, ByteSpan(sig), prepared2, digest2, ByteSpan(sig2));
-
-    constexpr int kBatchIters = 24;
-    t0 = Clock::now();
-    for (int i = 0; i < kBatchIters; ++i) {
-        sink = sink + static_cast<std::uint64_t>(
-                          ecdsa_verify(prepared, digest, ByteSpan(sig)) &&
-                          ecdsa_verify(prepared2, digest2, ByteSpan(sig2)));
-    }
-    const double seq_pair_s = seconds_since(t0) / kBatchIters;
-    t0 = Clock::now();
-    for (int i = 0; i < kBatchIters; ++i) {
-        sink = sink + static_cast<std::uint64_t>(ecdsa_verify2(
-                          prepared, digest, ByteSpan(sig), prepared2, digest2, ByteSpan(sig2)));
-    }
-    const double batch2_s = seconds_since(t0) / kBatchIters;
 
     U256 k{};
     k.w = {0x243f6a8885a308d3ull, 0x13198a2e03707344ull,
@@ -312,7 +226,6 @@ VerifyCalibration run_verify_calibration() {
     if (prepared_s > 0.0) out.ecdsa_speedup = std::max(1.0, (comb_s + ladder_s) / prepared_s);
     if (sha_s > 0.0) out.sha256_speedup = std::max(1.0, sha_ref_s / sha_s);
     if (sha_s > 0.0) out.sha256_host_mb_s = static_cast<double>(buf.size()) / sha_s / 1e6;
-    if (batch2_s > 0.0) out.batch2_speedup = std::max(1.0, seq_pair_s / batch2_s);
     if (sha_x4_s > 0.0) out.sha256x4_speedup = std::max(1.0, sha_x4_ref_s / sha_x4_s);
     if (sha_x4_s > 0.0) {
         out.sha256x4_host_mb_s = 4.0 * static_cast<double>(buf.size()) / sha_x4_s / 1e6;
@@ -353,10 +266,6 @@ BackendCosts calibrate_software_costs(const BackendCosts& baseline) {
     const VerifyCalibration& c = measure_verify_speedup();
     BackendCosts out = baseline;
     out.verify_seconds = baseline.verify_seconds / c.ecdsa_speedup;
-    // The batch pass prices the signature *pair*: the modelled MCU is
-    // assumed to gain what the host gained from sharing one doubling walk
-    // and one inversion across both signatures.
-    out.verify2_seconds = 2.0 * out.verify_seconds / c.batch2_speedup;
     out.sha256_seconds_per_kb = baseline.sha256_seconds_per_kb / c.sha256_speedup;
     return out;
 }

@@ -26,11 +26,6 @@ namespace upkit::crypto {
 struct BackendCosts {
     double sign_seconds = 0.0;
     double verify_seconds = 0.0;
-    /// Modelled cost of one batched double verification (both manifest
-    /// signatures in one Strauss pass). 0 means "not calibrated": charge
-    /// sites then fall back to 2 * verify_seconds, so paper-anchored
-    /// profiles price the pair exactly as two sequential verifies.
-    double verify2_seconds = 0.0;
     double sha256_seconds_per_kb = 0.0;
     /// Average extra current draw while the primitive runs, in mA at 3 V
     /// (0 for pure-software backends where the CPU-active draw applies).
@@ -62,32 +57,17 @@ public:
         return verify(key.key(), digest, signature);
     }
 
-    /// UpKit's double signature as one call: verifies the vendor claim
-    /// (key1/digest1/signature1) AND the server claim (key2/digest2/
-    /// signature2). Semantically identical to two verify() calls; software
-    /// backends override with the batched Strauss 4-point kernel
-    /// (ecdsa_verify2), which shares one doubling walk and one modular
-    /// inversion across the pair; with the verify memo on, a half the memo
-    /// already holds is not re-verified. Hardware backends keep this sequential
-    /// fallback — the ATECC508 executes one verify command per signature.
-    virtual bool verify2(const PreparedPublicKey& key1, const Sha256Digest& digest1,
-                         ByteSpan signature1, const PreparedPublicKey& key2,
-                         const Sha256Digest& digest2, ByteSpan signature2) const {
-        return verify(key1, digest1, signature1) && verify(key2, digest2, signature2);
-    }
-
     /// ECDSA signing. Device-side backends may not support it (the
     /// ATECC508 is used verify-only in UpKit's deployment).
     virtual Expected<Signature> sign(const PrivateKey& key,
                                      const Sha256Digest& digest) const = 0;
 };
 
-/// Cost of one double verification under `costs`: the calibrated batch
-/// price when set, else exactly two sequential verifies. Charge sites use
-/// this helper so uncalibrated (paper-anchored) profiles are bit-identical
-/// to the pre-batch model and hardware backends stay sequentially priced.
+/// Cost of one double verification under `costs`: two sequential
+/// verifies, the way every backend checks the vendor and then the server
+/// signature. Charge sites use this helper so the pair is priced in one place.
 inline double double_verify_seconds(const BackendCosts& costs) {
-    return costs.verify2_seconds > 0.0 ? costs.verify2_seconds : 2.0 * costs.verify_seconds;
+    return 2.0 * costs.verify_seconds;
 }
 
 /// Process-wide memo of software-backend verify() results, keyed by the
@@ -134,9 +114,6 @@ struct VerifyCalibration {
     double sha256_speedup = 1.0;
     /// Host throughput of the unrolled kernel, for reporting.
     double sha256_host_mb_s = 0.0;
-    /// Batched double verification (ecdsa_verify2) vs two sequential
-    /// prepared verifies of the same signature pair.
-    double batch2_speedup = 1.0;
     /// Multi-buffer SHA-256 (sha256x4_digest, dispatched implementation)
     /// vs four sequential reference digests on a 4-buffer workload. The
     /// device cost model does not use this — an MCU digests one stream —

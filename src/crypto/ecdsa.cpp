@@ -300,70 +300,9 @@ bool ecdsa_verify_generic(const PublicKey& key, const Sha256Digest& digest,
     });
 }
 
-namespace {
-
-/// Random batch weight for verify2. Drawn from a process-local HMAC-DRBG
-/// with a fixed personalization so simulated campaigns replay exactly; the
-/// verdict is gamma-independent except on a <= 8/2^64 slice, so determinism
-/// here costs nothing observable. A production deployment would fold
-/// hardware entropy into the seed — the guard only needs gamma to be
-/// unpredictable to whoever crafted the signatures.
-std::uint64_t batch_gamma() {
-    static std::mutex mu;
-    static HmacDrbg drbg(::upkit::to_bytes("upkit-verify2-gamma-seed"),
-                         ::upkit::to_bytes("upkit-verify2-gamma"));
-    std::lock_guard<std::mutex> lock(mu);
-    std::array<std::uint8_t, 8> buf{};
-    drbg.generate(MutByteSpan(buf));
-    std::uint64_t g = 0;
-    for (unsigned i = 0; i < 8; ++i) g = (g << 8) | buf[i];
-    if (g == 0) g = 1;  // verify2_combination requires gamma >= 1
-    return g;
-}
-
-/// Parses r || s with the same range checks as verify_with. Returns false
-/// on any malformed component (the batch caller then rejects outright).
-bool parse_signature(ByteSpan signature, U256& r, U256& s) {
-    if (signature.size() != kSignatureSize) return false;
-    r = U256::from_be_bytes(signature.subspan(0, 32));
-    s = U256::from_be_bytes(signature.subspan(32, 32));
-    if (r.is_zero() || s.is_zero()) return false;
-    const U256& n = P256::instance().n();
-    return r < n && s < n;
-}
-
-}  // namespace
-
 bool ecdsa_verify2(const PreparedPublicKey& key1, const Sha256Digest& digest1,
                    ByteSpan signature1, const PreparedPublicKey& key2,
                    const Sha256Digest& digest2, ByteSpan signature2) {
-    if (!key1.valid() || !key2.valid()) return false;
-    U256 r1, s1, r2, s2;
-    if (!parse_signature(signature1, r1, s1)) return false;
-    if (!parse_signature(signature2, r2, s2)) return false;
-
-    const P256& curve = P256::instance();
-    const Montgomery& fn = curve.order();
-    const U256 z1 = fn.reduce(digest_to_scalar(digest1));
-    const U256 z2 = fn.reduce(digest_to_scalar(digest2));
-
-    // Montgomery's batched-inversion trick: one Fermat pow yields both
-    // w1 = s1^-1 and w2 = s2^-1 — the inversion is the single most
-    // expensive scalar op in a prepared verify, and this halves it.
-    const U256 s1m = fn.to_mont(s1);
-    const U256 s2m = fn.to_mont(s2);
-    const U256 pair_inv = fn.inv(fn.mul(s1m, s2m));
-    const U256 w1m = fn.mul(pair_inv, s2m);
-    const U256 w2m = fn.mul(pair_inv, s1m);
-    const U256 u1 = fn.from_mont(fn.mul(fn.to_mont(z1), w1m));
-    const U256 u2 = fn.from_mont(fn.mul(fn.to_mont(r1), w1m));
-    const U256 u3 = fn.from_mont(fn.mul(fn.to_mont(z2), w2m));
-    const U256 u4 = fn.from_mont(fn.mul(fn.to_mont(r2), w2m));
-
-    const auto verdict = curve.verify2_combination(  // lint: public-scalar (sig components)
-        u1, u2, key1.table(), r1, u3, u4, key2.table(), r2, batch_gamma());
-    if (verdict) return *verdict;
-    // Undecidable lift corner (~2^-32 of signatures): sequential verifies.
     return ecdsa_verify(key1, digest1, signature1) &&
            ecdsa_verify(key2, digest2, signature2);
 }

@@ -124,19 +124,8 @@ bool ecdsa_verify(const PreparedPublicKey& key, const Sha256Digest& digest,
 bool ecdsa_verify_generic(const PublicKey& key, const Sha256Digest& digest,
                           ByteSpan signature);
 
-/// Batch verification of BOTH manifest signatures in one pass: true iff
-/// each signature individually verifies (up to a <= 2^-61 false-accept
-/// slice; see below). One Fermat inversion covers both s^-1 values
-/// (Montgomery's trick), and the two verification equations are merged
-/// with a random 64-bit weight gamma into a single 4-point Strauss walk
-/// (P256::verify2_combination) — a forged pair would have to cancel at the
-/// drawn gamma exactly, so batch-accept implies individual validity except
-/// with probability <= 8/2^64 per call. gamma comes from a process-local
-/// HMAC-DRBG (deterministic per process, so simulation fingerprints stay
-/// reproducible; the verdict itself is gamma-independent w.h.p.). Rejects
-/// are exact: a false return always means at least one signature fails
-/// sequential verification. Falls back to two sequential verifies in the
-/// rare undecidable lift corner.
+/// Both signatures of a pair, one after the other: true iff each verifies
+/// against its prepared key. Stops at the first failure.
 bool ecdsa_verify2(const PreparedPublicKey& key1, const Sha256Digest& digest1,
                    ByteSpan signature1, const PreparedPublicKey& key2,
                    const Sha256Digest& digest2, ByteSpan signature2);

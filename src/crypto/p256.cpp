@@ -522,19 +522,18 @@ std::optional<AffinePoint> P256::mul_add(const U256& u1, const U256& u2,
     return to_affine(mul_add_jacobian(u1, u2, p));
 }
 
-bool P256::x_matches(const Jacobian& t, const U256& r) const {
+bool P256::verify_prepared(const U256& u1, const U256& u2, const Precomputed& p,
+                           const U256& r) const {
+    // x(t) is X/Z^2 and below p < 2n, so it matches r mod n iff
+    // to_mont(r)*Z^2 == X or, when r + n < p, to_mont(r + n)*Z^2 == X.
     // The all-zero infinity encoding would match r*0 == 0, so guard it.
+    const Jacobian t = mul_add_jacobian(u1, u2, p);
     if (t.infinity()) return false;
     const U256 zz = fp_.sqr(t.z);
     if (fp_.mul(fp_.to_mont(r), zz) == t.x) return true;
     U256 rn;
     return crypto::add(rn, r, fn_.modulus()) == 0 && rn < fp_.modulus() &&
            fp_.mul(fp_.to_mont(rn), zz) == t.x;
-}
-
-bool P256::verify_prepared(const U256& u1, const U256& u2, const Precomputed& p,
-                           const U256& r) const {
-    return x_matches(mul_add_jacobian(u1, u2, p), r);
 }
 
 std::optional<AffinePoint> P256::mul_add_generic(const U256& u1, const U256& u2,
@@ -544,141 +543,6 @@ std::optional<AffinePoint> P256::mul_add_generic(const U256& u1, const U256& u2,
     Jacobian acc = u1r.is_zero() ? Jacobian{} : scalar_mul(u1r, to_jacobian(g_));
     if (!u2r.is_zero()) acc = add(acc, scalar_mul(u2r, to_jacobian(p)));
     return to_affine(acc);
-}
-
-P256::Jacobian P256::jneg(const Jacobian& q) const {
-    return Jacobian{q.x, fp_.sub(U256::zero(), q.y), q.z};
-}
-
-std::optional<U256> P256::sqrt_mont(const U256& a) const {
-    // p ≡ 3 mod 4, so a^((p+1)/4) is a root when one exists. The exponent
-    // factors as (((2^32-1)·2^32 + 1)·2^96 + 1)·2^94 = 2^254 - 2^222 +
-    // 2^190 + 2^94, giving a 253-squaring, 7-multiply chain instead of the
-    // ~255S + 128M of a naive square-and-multiply.
-    const auto sqr_n = [&](U256 x, unsigned count) {
-        for (unsigned i = 0; i < count; ++i) x = fp_.sqr(x);
-        return x;
-    };
-    U256 t = fp_.mul(fp_.sqr(a), a);   // a^(2^2 - 1)
-    t = fp_.mul(sqr_n(t, 2), t);       // a^(2^4 - 1)
-    t = fp_.mul(sqr_n(t, 4), t);       // a^(2^8 - 1)
-    t = fp_.mul(sqr_n(t, 8), t);       // a^(2^16 - 1)
-    t = fp_.mul(sqr_n(t, 16), t);      // a^(2^32 - 1)
-    U256 r = fp_.mul(sqr_n(t, 32), a); // a^(2^64 - 2^32 + 1)
-    r = fp_.mul(sqr_n(r, 96), a);      // a^(2^160 - 2^128 + 2^96 + 1)
-    r = sqr_n(r, 94);
-    if (!(fp_.sqr(r) == a)) return std::nullopt;  // non-residue
-    return r;
-}
-
-std::optional<bool> P256::verify2_combination(const U256& u1, const U256& u2,
-                                              const Precomputed& p1, const U256& r1,
-                                              const U256& u3, const U256& u4,
-                                              const Precomputed& p2, const U256& r2,
-                                              std::uint64_t gamma) const {
-    // Decides  u1*G + u2*P1 == ±R1  AND  u3*G + u4*P2 == ±R2  in one shared
-    // walk: lift R2 from its x-candidate, fold -gamma*R2 into the Strauss
-    // chain of (u1 + gamma*u3)*G + u2*P1 + (gamma*u4)*P2, and x-compare the
-    // result T- (and, if that misses, T+ = T- + 2*gamma*R2, covering the
-    // opposite sign of R2) against r1's candidates in Jacobian form. The
-    // x-comparison absorbs R1's sign, so R1 is never lifted and no field
-    // inversion is paid anywhere in the accept path.
-    const U256 u1r = fn_.reduce(u1);
-    const U256 u2r = fn_.reduce(u2);
-    const U256 u3r = fn_.reduce(u3);
-    const U256 u4r = fn_.reduce(u4);
-    const U256 g = U256::from_u64(gamma);
-    const U256 gm = fn_.to_mont(g);
-    // a = u1 + gamma*u3, c = gamma*u4 (mod n): mont * plain = plain product.
-    const U256 a = fn_.add(u1r, fn_.mul(gm, u3r));
-    const U256 c = fn_.mul(gm, u4r);
-
-    // Lift R2 from r2's x-candidates {r2, r2 + n} (both < p possible only
-    // for r2 < p - n ~ 2^-32 of the range). Zero liftable candidates means
-    // signature 2 cannot verify for any lift — exactly the sequential
-    // verdict. Two liftable candidates is the undecidable corner.
-    const auto lift = [&](const U256& x_plain, Jacobian& out) {
-        const U256 xm = fp_.to_mont(x_plain);
-        U256 rhs = fp_.mul(fp_.sqr(xm), xm);
-        const U256 three_x = fp_.add(fp_.add(xm, xm), xm);
-        rhs = fp_.add(fp_.sub(rhs, three_x), b_mont_);
-        const auto y = sqrt_mont(rhs);
-        if (!y) return false;
-        out = Jacobian{xm, *y, fp_.one()};
-        return true;
-    };
-    Jacobian r2_point{};
-    bool lifted = lift(r2, r2_point);
-    U256 x2b;
-    if (crypto::add(x2b, r2, fn_.modulus()) == 0 && x2b < fp_.modulus()) {
-        Jacobian second{};
-        if (lift(x2b, second)) {
-            if (lifted) return std::nullopt;  // both candidates live: fall back
-            r2_point = second;
-            lifted = true;
-        }
-    }
-    if (!lifted) return false;
-
-    // One odd-multiples row of R2 serves both the -gamma fold in the main
-    // walk and the +2*gamma correction walk. Entries stay Jacobian (full
-    // add()); gamma < 2^64 so only row 0 digits (+ the carry at position
-    // 64) occur, and the position-64 digit is pre-seeded into the
-    // accumulator, where the walk's 64 doublings give it weight 2^64.
-    std::array<Jacobian, kWnafOddEntries> r2_row;
-    build_odd_row(r2_point, r2_row.data());
-    std::int8_t da[kWnafMaxDigits] = {};
-    std::int8_t db[kWnafMaxDigits] = {};
-    std::int8_t dg[kWnafMaxDigits] = {};
-    (void)wnaf_recode(u2r, da);
-    (void)wnaf_recode(c, db);
-    (void)wnaf_recode(g, dg);
-    const MontAffine* t1 = p1.table_.data();
-    const MontAffine* t2 = p2.table_.data();
-    // Folds -d * R2 (note the sign flip: the walk subtracts gamma*R2).
-    const auto fold_r2_neg = [&](Jacobian& acc, int d) {
-        if (d > 0) {
-            acc = add(acc, jneg(r2_row[static_cast<unsigned>(d >> 1)]));
-        } else if (d < 0) {
-            acc = add(acc, r2_row[static_cast<unsigned>((-d) >> 1)]);
-        }
-    };
-    Jacobian acc{};
-    fold_r2_neg(acc, dg[64]);  // pre-seed: gains 2^64 over the walk below
-    for (int b = Precomputed::kRowShift - 1; b >= 0; --b) {
-        acc = dbl(acc);
-        for (unsigned row = 0; row < 4; ++row) {
-            const unsigned pos = Precomputed::kRowShift * row + static_cast<unsigned>(b);
-            fold_digit(acc, t1, row, da[pos]);
-            fold_digit(acc, t2, row, db[pos]);
-        }
-        fold_r2_neg(acc, dg[static_cast<unsigned>(b)]);
-        if (b == 0) {
-            fold_digit(acc, t1, 4, da[256]);
-            fold_digit(acc, t2, 4, db[256]);
-        }
-    }
-    if (!a.is_zero()) acc = add(acc, comb_mul_base(a));
-
-    if (x_matches(acc, r1)) return true;
-    // Opposite sign of R2 (expected half the time on honest input): add
-    // 2*gamma*R2 back, reusing the row — the digits of 2*gamma are gamma's
-    // shifted up one position.
-    U256 g2;
-    (void)crypto::add(g2, g, g);
-    std::int8_t dg2[kWnafMaxDigits];
-    const int len2 = wnaf_recode(g2, dg2);
-    Jacobian w{};
-    for (int i = len2 - 1; i >= 0; --i) {
-        w = dbl(w);
-        const int d = dg2[i];
-        if (d > 0) {
-            w = add(w, r2_row[static_cast<unsigned>(d >> 1)]);
-        } else if (d < 0) {
-            w = add(w, jneg(r2_row[static_cast<unsigned>((-d) >> 1)]));
-        }
-    }
-    return x_matches(add(acc, w), r1);
 }
 
 }  // namespace upkit::crypto

@@ -153,7 +153,7 @@ public:
     /// The ECDSA verdict for a prepared key: true iff u1*G + u2*P is not
     /// infinity and its affine x is congruent to r (r in [1, n)) mod n.
     /// Same walks as mul_add(u1, u2, p), but x is compared in Jacobian
-    /// form (x_matches), so no final-inversion to_affine is paid.
+    /// form, so no final-inversion to_affine is paid.
     /// Variable-time; PUBLIC inputs only.
     bool verify_prepared(const U256& u1, const U256& u2, const Precomputed& p,
                          const U256& r) const;
@@ -164,31 +164,6 @@ public:
     std::optional<AffinePoint> mul_add_generic(const U256& u1, const U256& u2,
                                                const AffinePoint& p) const;
 
-    /// Batched double-ECDSA combination test with a randomized linear
-    /// combination: decides whether, for some signs s1, s2 and some affine
-    /// lift R1, R2 of the x-candidates of r1, r2,
-    ///
-    ///   (u1*G + u2*P1) + gamma * (u3*G + u4*P2) == s1*R1 + gamma*s2*R2.
-    ///
-    /// For honest signatures this holds exactly when both individually
-    /// verify; for a forged pair it can only hold if gamma lands on one of
-    /// a handful of adversary-determined residues mod n — probability
-    /// <= 8/2^64 for a uniform 64-bit gamma drawn after the signatures are
-    /// fixed. The whole test runs in Jacobian coordinates: one batched
-    /// x-candidate lift (sqrt in F_p), one shared Strauss walk with
-    /// -gamma*R2 folded in, and cross-multiplied x-comparisons against r1,
-    /// so no final-inversion to_affine is ever paid.
-    ///
-    /// gamma must be in [1, 2^64). Returns nullopt for the one undecidable
-    /// corner (both r2 and r2 + n are x-coordinates of curve points, which
-    /// needs r2 + n < p — a ~2^-32 slice of signatures); callers fall back
-    /// to two sequential verifies there. Variable-time; PUBLIC inputs only.
-    std::optional<bool> verify2_combination(const U256& u1, const U256& u2,
-                                            const Precomputed& p1, const U256& r1,
-                                            const U256& u3, const U256& u4,
-                                            const Precomputed& p2, const U256& r2,
-                                            std::uint64_t gamma) const;
-
 private:
     P256();
 
@@ -197,11 +172,6 @@ private:
     /// u1*G + u2*P in Jacobian form: comb plus interleaved wNAF. Shared by
     /// mul_add(u1, u2, Precomputed) and verify_prepared().
     Jacobian mul_add_jacobian(const U256& u1, const U256& u2, const Precomputed& p) const;
-    /// x(t) mod n == r without leaving Jacobian form: x(t) is X/Z^2 and
-    /// below p < 2n, so it matches iff to_mont(r)*Z^2 == X or, when
-    /// r + n < p, to_mont(r + n)*Z^2 == X. Infinity never matches. The
-    /// x-compare behind verify_prepared() and verify2_combination().
-    bool x_matches(const Jacobian& t, const U256& r) const;
     /// dbl-2001-b (a = -3) with no special cases; complete for infinity.
     /// The one doubling body behind dbl() and ct_dbl().
     Jacobian dbl_formula(const Jacobian& p) const;
@@ -236,7 +206,7 @@ private:
     /// acc += d * P for one signed wNAF digit, served from odd-multiples
     /// row `row` of `table` (kWnafOddEntries entries per row): a mixed
     /// addition of entry |d| / 2, negated for d < 0; nothing for d == 0.
-    /// Shared by both wnaf_mul walks and verify2_combination.
+    /// Shared by both wnaf_mul walks.
     void fold_digit(Jacobian& acc, const MontAffine* table, unsigned row, int d) const;
 
     /// wNAF walk over a single odd-multiples row (256 doublings).
@@ -244,13 +214,6 @@ private:
 
     /// Interleaved wNAF walk over a per-key table (64 doublings).
     Jacobian wnaf_mul(const U256& k, const Precomputed& pre) const;
-
-    /// -q in Jacobian coordinates (field negation of y).
-    Jacobian jneg(const Jacobian& q) const;
-
-    /// Square root in F_p, Montgomery form: a^((p+1)/4) via a 253S + 7M
-    /// addition chain (p ≡ 3 mod 4). nullopt when a is a non-residue.
-    std::optional<U256> sqrt_mont(const U256& a) const;
 
     /// Sum of comb-table entries for the byte digits of k (k in [1, n)).
     Jacobian comb_mul_base(const U256& k) const;

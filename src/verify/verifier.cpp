@@ -5,28 +5,17 @@ namespace upkit::verify {
 using manifest::Manifest;
 
 Status Verifier::verify_signatures(const Manifest& m) const {
-    // Both signatures go through the backend's batch entry point (one
-    // Strauss walk + one inversion on software backends, two sequential
-    // verifies on hardware). The batch only answers "both valid?"; the
-    // common path — a well-formed manifest — needs nothing more. On
-    // rejection the halves are re-verified individually so the caller
-    // still learns *which* signature failed, exactly as the sequential
-    // code reported it.
-    const crypto::Sha256Digest vendor_tbs = crypto::Sha256::digest(m.vendor_signed_bytes());
-    const crypto::Sha256Digest server_tbs = crypto::Sha256::digest(m.server_signed_bytes());
-    if (backend_->verify2(vendor_key_, vendor_tbs, m.vendor_signature, server_key_,
-                          server_tbs, m.server_signature)) {
-        return Status::kOk;
-    }
-    if (!backend_->verify(vendor_key_, vendor_tbs, m.vendor_signature)) {
+    // Vendor first, then server, one verify each (the same order and shape
+    // as suit::verify_envelope), so a rejection names its signature directly.
+    if (!backend_->verify(vendor_key_, crypto::Sha256::digest(m.vendor_signed_bytes()),
+                          m.vendor_signature)) {
         return Status::kBadVendorSignature;
     }
-    if (!backend_->verify(server_key_, server_tbs, m.server_signature)) {
+    if (!backend_->verify(server_key_, crypto::Sha256::digest(m.server_signed_bytes()),
+                          m.server_signature)) {
         return Status::kBadServerSignature;
     }
-    // The batch kernel and the individual kernels disagree only if one of
-    // them is broken; fail closed on the batch verdict.
-    return Status::kBadVendorSignature;
+    return Status::kOk;
 }
 
 Status Verifier::verify_suit_envelope(const suit::Envelope& envelope) const {

@@ -524,63 +524,6 @@ TEST(BackendTest, SoftwareBackendsVerifyEachOthersSignatures) {
     EXPECT_TRUE(tinycrypt->verify(key.public_key(), digest, *sig));
 }
 
-TEST(BackendTest, Verify2WithOneMemoisedHalfChecksOnlyTheOther) {
-    // The fleet shape: the vendor triple is memoised once, then each
-    // verify2 finds that half and verifies only the other. Every verdict
-    // must equal the sequential one, and each call moves the memo by
-    // exactly one hit and one miss, also when the known verdict is false.
-    struct MemoOn {
-        MemoOn() { set_verify_memo_enabled(true); verify_memo_reset(); }
-        ~MemoOn() { set_verify_memo_enabled(false); verify_memo_reset(); }
-    } memo_on;
-    const auto backend = make_tinycrypt_backend();
-    const PrivateKey vendor = PrivateKey::generate(to_bytes("memo-vendor"));
-    const PrivateKey server = PrivateKey::generate(to_bytes("memo-server"));
-    const PreparedPublicKey vkey(vendor.public_key());
-    const PreparedPublicKey skey(server.public_key());
-    const Sha256Digest vd = Sha256::digest(to_bytes("vendor manifest"));
-    const Signature vsig = ecdsa_sign(vendor, vd);
-    Signature vbad = vsig;
-    vbad[40] ^= 0x01;
-    ASSERT_TRUE(backend->verify(vkey, vd, vsig));
-    ASSERT_FALSE(backend->verify(vkey, vd, vbad));
-
-    // A fresh server triple per case, so its half is always the miss.
-    const auto server_half = [&](const char* msg, Sha256Digest& d) {
-        d = Sha256::digest(to_bytes(msg));
-        return ecdsa_sign(server, d);
-    };
-    const auto expect_one_hit_one_miss = [&](bool vendor_first, const Signature& v,
-                                             const Sha256Digest& sd, const Signature& s,
-                                             const char* what) {
-        const bool sequential = ecdsa_verify(vkey, vd, v) && ecdsa_verify(skey, sd, s);
-        const VerifyMemoStats before = verify_memo_stats();
-        const bool batched = vendor_first ? backend->verify2(vkey, vd, v, skey, sd, s)
-                                          : backend->verify2(skey, sd, s, vkey, vd, v);
-        const VerifyMemoStats after = verify_memo_stats();
-        EXPECT_EQ(batched, sequential) << what;
-        EXPECT_EQ(after.hits - before.hits, 1u) << what;
-        EXPECT_EQ(after.misses - before.misses, 1u) << what;
-    };
-
-    Sha256Digest d{};
-    const Signature valid = server_half("server manifest a", d);
-    expect_one_hit_one_miss(true, vsig, d, valid, "valid server half");
-    Signature corrupted = server_half("server manifest b", d);
-    corrupted[9] ^= 0x20;
-    expect_one_hit_one_miss(true, vsig, d, corrupted, "corrupted server half");
-    const Signature other = server_half("server manifest c", d);
-    expect_one_hit_one_miss(true, vbad, d, other, "memoised-false vendor half");
-    const Signature swapped = server_half("server manifest d", d);
-    expect_one_hit_one_miss(false, vsig, d, swapped, "known half in the second slot");
-
-    // The fresh half's own verdict was memoised: asking again is two hits.
-    const VerifyMemoStats before = verify_memo_stats();
-    EXPECT_FALSE(backend->verify2(vkey, vd, vbad, skey, d, swapped));
-    EXPECT_EQ(verify_memo_stats().hits - before.hits, 2u);
-    EXPECT_EQ(verify_memo_stats().misses, before.misses);
-}
-
 TEST(BackendTest, CostProfilesDiffer) {
     const auto tinydtls = make_tinydtls_backend();
     const auto tinycrypt = make_tinycrypt_backend();

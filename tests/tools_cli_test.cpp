@@ -174,10 +174,11 @@ TEST_F(ToolsCliTest, LintCatchesAllSeededFixtureViolations) {
     EXPECT_NE(out.find("default swallows"), std::string::npos) << out;
 
     // Flow-sensitive arms, each tied to its seeding fixture. Three of the
-    // five taint findings are interprocedural: a branch on a tainted
+    // six taint findings are interprocedural: a branch on a tainted
     // parameter inside a helper, a tainted return value reaching memcmp in
     // the caller, and a two-level chain ending in variable-time curve.mul.
-    // The fifth is a secret exponent reaching Montgomery::pow.
+    // The fifth and sixth are a secret exponent reaching Montgomery::pow,
+    // through a local and as a direct source call.
     EXPECT_NE(out.find("bad_taint_branch.cpp"), std::string::npos) << out;
     EXPECT_NE(out.find("secret-dependent branch on 'k'"), std::string::npos) << out;
     EXPECT_NE(out.find("bad_taint_helper.cpp"), std::string::npos) << out;
@@ -188,6 +189,13 @@ TEST_F(ToolsCliTest, LintCatchesAllSeededFixtureViolations) {
     EXPECT_NE(out.find("variable-time sink mul()"), std::string::npos) << out;
     EXPECT_NE(out.find("bad_taint_pow.cpp"), std::string::npos) << out;
     EXPECT_NE(out.find("variable-time sink pow()"), std::string::npos) << out;
+    // A source call passed straight into the sink, with no local between.
+    const std::size_t direct = out.find("bad_taint_direct.cpp:");
+    const std::string direct_line =
+        direct == std::string::npos ? ""
+                                    : out.substr(direct, out.find('\n', direct) - direct);
+    EXPECT_NE(direct_line.find("[secret-taint]"), std::string::npos) << out;
+    EXPECT_NE(direct_line.find("variable-time sink pow()"), std::string::npos) << out;
     // The prepared single verify is a variable-time sink too.
     EXPECT_NE(out.find("variable-time sink verify_prepared()"), std::string::npos) << out;
     EXPECT_NE(out.find("assigned to 'st' but never checked"), std::string::npos) << out;

@@ -109,6 +109,57 @@ TEST_F(VerifierFixture, ForgedVendorFieldsRejected) {
               Status::kBadVendorSignature);
 }
 
+TEST_F(VerifierFixture, MemoisedVendorHalfVerifiesOnlyTheServer) {
+    // The fleet shape: every device sees the same vendor signature, so with
+    // the verify memo on, verify_signatures finds the vendor half and
+    // verifies only the server half. Each status must equal the memo-off
+    // one, and each call moves the memo by exactly the halves it consulted.
+    const auto honest = fresh_response(token_).manifest;
+    DeviceToken other = token_;
+    other.nonce = 0x5EEE;
+    auto bad_server = fresh_response(other).manifest;
+    bad_server.server_signature[10] ^= 0x04;
+    auto bad_vendor = honest;
+    bad_vendor.vendor_signature[40] ^= 0x01;
+    const std::pair<const Manifest*, Status> cases[] = {
+        {&honest, Status::kOk},
+        {&bad_server, Status::kBadServerSignature},
+        {&bad_vendor, Status::kBadVendorSignature},
+    };
+    for (const auto& [m, expected] : cases) {
+        ASSERT_EQ(verifier_.verify_signatures(*m), expected);
+    }
+
+    struct MemoOn {
+        MemoOn() { crypto::set_verify_memo_enabled(true); crypto::verify_memo_reset(); }
+        ~MemoOn() { crypto::set_verify_memo_enabled(false); crypto::verify_memo_reset(); }
+    } memo_on;
+    const auto vendor_tbs = crypto::Sha256::digest(honest.vendor_signed_bytes());
+    ASSERT_TRUE(backend_->verify(vendor_.public_key(), vendor_tbs, honest.vendor_signature));
+    const auto moved = [&](const Manifest& m, Status expected, std::uint64_t hits,
+                           std::uint64_t misses, const char* what) {
+        const crypto::VerifyMemoStats before = crypto::verify_memo_stats();
+        EXPECT_EQ(verifier_.verify_signatures(m), expected) << what;
+        const crypto::VerifyMemoStats after = crypto::verify_memo_stats();
+        EXPECT_EQ(after.hits - before.hits, hits) << what;
+        EXPECT_EQ(after.misses - before.misses, misses) << what;
+    };
+    moved(honest, Status::kOk, 1, 1, "honest manifest");
+    moved(bad_server, Status::kBadServerSignature, 1, 1, "tampered server signature");
+    // The vendor half misses and fails, so the server half is never consulted.
+    moved(bad_vendor, Status::kBadVendorSignature, 0, 1, "tampered vendor signature");
+    // Its server signature covers the intact vendor signature, so it fails
+    // too; what matters is that the memo has not seen it yet.
+    const crypto::VerifyMemoStats before = crypto::verify_memo_stats();
+    EXPECT_FALSE(backend_->verify(update_server_.public_key(),
+                                  crypto::Sha256::digest(bad_vendor.server_signed_bytes()),
+                                  bad_vendor.server_signature));
+    EXPECT_EQ(crypto::verify_memo_stats().misses - before.misses, 1u)
+        << "the server half of the tampered-vendor manifest was verified";
+    // Both halves of the honest manifest are now memoised: two hits.
+    moved(honest, Status::kOk, 2, 0, "honest manifest again");
+}
+
 TEST_F(VerifierFixture, SignatureFromWrongServerRejected) {
     // An attacker running their own update server cannot satisfy the device.
     UpdateServer rogue(to_bytes("rogue-key"));

@@ -114,6 +114,21 @@ private:
         return "";
     }
 
+    /// True when [begin, end) contains a source call not marked public on
+    /// its line: `fn.pow(base, key.scalar())` hands the secret over with
+    /// no named carrier for span_tainted to find.
+    bool span_calls_source(const TokenFile& file, const std::vector<Token>& toks,
+                           std::size_t begin, std::size_t end) const {
+        CallSite inner;
+        for (std::size_t k = begin; k < end; ++k) {
+            if (parse_call(toks, k, inner) && is_source(inner) &&
+                !line_allowed(file, inner.line)) {
+                return true;
+            }
+        }
+        return false;
+    }
+
     bool span_sanitized(const std::vector<Token>& toks, std::size_t begin,
                         std::size_t end) const {
         for (std::size_t i = begin; i < end; ++i) {
@@ -249,8 +264,9 @@ private:
             bool args_tainted = false;
             std::uint64_t arg_mask = 0;
             for (std::size_t a = 0; a < call.args.size(); ++a) {
-                if (!span_tainted(toks, call.args[a].first, call.args[a].second,
-                                  tainted).empty()) {
+                const auto [ab, ae] = call.args[a];
+                if (!span_tainted(toks, ab, ae, tainted).empty() ||
+                    span_calls_source(*fn->file, toks, ab, ae)) {
                     args_tainted = true;
                     if (a < 64) arg_mask |= std::uint64_t{1} << a;
                 }
